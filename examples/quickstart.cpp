@@ -32,9 +32,9 @@ int main() {
   options.optimizer.min_columns = 8;
   options.optimizer.max_columns = 20;
   CompiledModel compiled = CompileModel(model, options);
-  std::printf("layout: %d columns x 2^%d rows (optimizer %.2fs, keygen %.2fs)\n",
+  std::printf("layout: %d columns x 2^%d rows (optimizer %.2fs, setup %.2fs, keygen %.2fs)\n",
               compiled.layout.num_columns, compiled.layout.k, compiled.optimizer_seconds,
-              compiled.keygen_seconds);
+              compiled.setup_seconds, compiled.keygen_seconds);
 
   // 3. Prove one inference.
   Tensor<float> input = SyntheticInput(model, 99);

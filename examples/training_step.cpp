@@ -69,7 +69,7 @@ int main() {
     return 1;
   }
 
-  auto pcs = MakePcsBackend(PcsKind::kKzg, static_cast<size_t>(1) << opts.k, 5);
+  auto pcs = SharedPcsBackend(PcsKind::kKzg, static_cast<size_t>(1) << opts.k, 5);
   ProvingKey pk = Keygen(cb.cs(), cb.assignment(), *pcs, opts.k);
   const std::vector<uint8_t> proof = CreateProof(pk, *pcs, cb.assignment());
 

@@ -215,6 +215,38 @@ G1 G1::ScalarMul(const Fr& s) const {
   return acc;
 }
 
+G1 GeneratorMul(const Fr& s) {
+  // Comb over 8-bit windows: table[w][d - 1] = d·2^(8w)·G, so s·G is the sum
+  // of one table point per nonzero byte of s. Built once, serially (a
+  // static-init guard must not wait on pool tasks).
+  constexpr int kWindows = 32;
+  constexpr int kDigits = 255;
+  static const std::vector<G1Affine> table = [] {
+    std::vector<G1> jac(kWindows * kDigits);
+    G1 base = G1::Generator();
+    for (int w = 0; w < kWindows; ++w) {
+      G1* row = jac.data() + w * kDigits;
+      row[0] = base;
+      for (int d = 1; d < kDigits; ++d) {
+        row[d] = row[d - 1] + base;
+      }
+      base = row[kDigits - 1] + base;  // 256·2^(8w)·G = 2^(8(w+1))·G
+    }
+    std::vector<G1Affine> affine(jac.size());
+    G1::BatchToAffine(jac.data(), jac.size(), affine.data());
+    return affine;
+  }();
+  const U256 e = s.ToCanonical();
+  G1 acc;
+  for (int w = 0; w < kWindows; ++w) {
+    const uint64_t digit = (e.limbs[w / 8] >> (8 * (w % 8))) & 0xff;
+    if (digit != 0) {
+      acc = acc.AddMixed(table[w * kDigits + digit - 1]);
+    }
+  }
+  return acc;
+}
+
 G1Affine G1::ToAffine() const {
   if (IsIdentity()) {
     return G1Affine::Identity();

@@ -59,6 +59,7 @@ Json RunReport::ToJson() const {
   Json timings = Json::Object();
   timings.Set("predicted_prove_seconds", predicted_prove_seconds);
   timings.Set("compile_seconds", compile_seconds);
+  timings.Set("setup_seconds", setup_seconds);
   timings.Set("keygen_seconds", keygen_seconds);
   timings.Set("prove_seconds", prove_seconds);
   timings.Set("verify_seconds", verify_seconds);
@@ -103,6 +104,7 @@ StatusOr<RunReport> RunReport::FromJson(const Json& j) {
   if (const Json* t = j.Find("timings"); t != nullptr && t->is_object()) {
     r.predicted_prove_seconds = NumberOr(*t, "predicted_prove_seconds", 0);
     r.compile_seconds = NumberOr(*t, "compile_seconds", 0);
+    r.setup_seconds = NumberOr(*t, "setup_seconds", 0);  // absent before setup was timed
     r.keygen_seconds = NumberOr(*t, "keygen_seconds", 0);
     r.prove_seconds = NumberOr(*t, "prove_seconds", 0);
     r.verify_seconds = NumberOr(*t, "verify_seconds", 0);

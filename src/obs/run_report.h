@@ -37,7 +37,8 @@ struct RunReport {
   // Cost-model prediction vs. reality; estimator error is the ratio.
   double predicted_prove_seconds = 0.0;
 
-  double compile_seconds = 0.0;
+  double compile_seconds = 0.0;  // optimizer + PCS setup + keygen
+  double setup_seconds = 0.0;    // PCS backend acquisition; optional in JSON
   double keygen_seconds = 0.0;
   double prove_seconds = 0.0;
   double verify_seconds = 0.0;

@@ -37,13 +37,23 @@ PcsCommitment IpaPcs::Commit(const std::vector<Fr>& coeffs) const {
   return PcsCommitment{Msm(setup_->g.data(), coeffs.data(), coeffs.size()).ToAffine()};
 }
 
+const std::vector<G1Affine>& IpaPcs::LagrangeTable(size_t n) const {
+  // The Pedersen bases are structureless and there is no trapdoor, but the
+  // commitment is linear in them, so the IFFT-transpose transform applies
+  // (see pcs.h).
+  return lagrange_.Get(n, setup_->g.size(), [this](size_t size) {
+    return LagrangeBasesFromMonomial(
+        std::vector<G1Affine>(setup_->g.begin(), setup_->g.begin() + size));
+  });
+}
+
+void IpaPcs::PrepareLagrange(size_t n) const { LagrangeTable(n); }
+
 PcsCommitment IpaPcs::CommitLagrange(const std::vector<Fr>& evals) const {
   static obs::Counter& commits =
       obs::MetricsRegistry::Global().counter("pcs.ipa.lagrange_commits");
   commits.Increment();
-  // The Pedersen bases are structureless, but the commitment is linear in
-  // them, so the same IFFT-transpose transform applies (see pcs.h).
-  const std::vector<G1Affine>& bases = lagrange_.Get(setup_->g, evals.size());
+  const std::vector<G1Affine>& bases = LagrangeTable(evals.size());
   return PcsCommitment{Msm(bases.data(), evals.data(), evals.size()).ToAffine()};
 }
 

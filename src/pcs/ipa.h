@@ -28,10 +28,13 @@ class IpaPcs : public Pcs {
  public:
   explicit IpaPcs(std::shared_ptr<const IpaSetup> setup) : setup_(std::move(setup)) {}
 
+  const IpaSetup& setup() const { return *setup_; }
+
   PcsKind kind() const override { return PcsKind::kIpa; }
   size_t max_len() const override { return setup_->g.size(); }
 
   PcsCommitment Commit(const std::vector<Fr>& coeffs) const override;
+  void PrepareLagrange(size_t n) const override;
   PcsCommitment CommitLagrange(const std::vector<Fr>& evals) const override;
   void OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const Fr& point,
                  Transcript* transcript, std::vector<uint8_t>* proof_out) const override;
@@ -40,6 +43,8 @@ class IpaPcs : public Pcs {
                      size_t* offset) const override;
 
  private:
+  const std::vector<G1Affine>& LagrangeTable(size_t n) const;
+
   std::shared_ptr<const IpaSetup> setup_;
   LagrangeBasisCache lagrange_;
 };

@@ -1,5 +1,7 @@
 #include "src/pcs/kzg.h"
 
+#include <algorithm>
+
 #include "src/base/check.h"
 #include "src/base/thread_pool.h"
 #include "src/obs/metrics.h"
@@ -8,41 +10,107 @@
 #include "src/poly/polynomial.h"
 
 namespace zkml {
+namespace {
 
-KzgSetup KzgSetup::Create(size_t max_len, uint64_t seed) {
+// out[i] = scalars[i]·G for the group generator G, in parallel.
+void GeneratorMultiples(const std::vector<Fr>& scalars, G1Affine* out) {
+  ParallelFor(0, scalars.size(), [&](size_t lo, size_t hi) {
+    std::vector<G1> pts(hi - lo);
+    for (size_t i = lo; i < hi; ++i) {
+      pts[i - lo] = GeneratorMul(scalars[i]);
+    }
+    G1::BatchToAffine(pts.data(), pts.size(), out + lo);
+  });
+}
+
+}  // namespace
+
+KzgSetup KzgSetup::Create(size_t max_len, uint64_t seed, const KzgSetup* grow_from) {
   Rng rng(seed);
   KzgSetup setup;
   setup.tau = Fr::Random(rng);
-  setup.powers.resize(max_len);
-  // powers[i] = tau^i * G, scalar-multiplied in parallel. Setup cost is
-  // excluded from benchmarks (the real system downloads ceremony output).
-  std::vector<Fr> tau_pows(max_len);
-  Fr tau_i = Fr::One();
-  for (size_t i = 0; i < max_len; ++i) {
-    tau_pows[i] = tau_i;
+  size_t start = 0;
+  if (grow_from != nullptr) {
+    ZKML_CHECK_MSG(grow_from->tau == setup.tau, "grown KZG setup must come from the same seed");
+    start = std::min(grow_from->powers.size(), max_len);
+    setup.powers.assign(grow_from->powers.begin(), grow_from->powers.begin() + start);
+  }
+  // powers[i] = tau^i * G for the indices the prefix does not cover.
+  std::vector<Fr> tau_pows(max_len - start);
+  Fr tau_i = setup.tau.Pow(start);
+  for (Fr& p : tau_pows) {
+    p = tau_i;
     tau_i *= setup.tau;
   }
-  const G1 g = G1::Generator();
-  ParallelFor(0, max_len, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      setup.powers[i] = g.ScalarMul(tau_pows[i]).ToAffine();
-    }
-  });
+  setup.powers.resize(max_len);
+  GeneratorMultiples(tau_pows, setup.powers.data() + start);
   return setup;
 }
 
+std::vector<G1Affine> KzgSetup::LagrangeBases(size_t n) const {
+  ZKML_CHECK_MSG(n != 0 && (n & (n - 1)) == 0, "Lagrange basis size must be a power of two");
+  int k = 0;
+  while ((static_cast<size_t>(1) << k) < n) {
+    ++k;
+  }
+  const Fr omega = FrRootOfUnity(k);
+  std::vector<Fr> omega_pows(n);
+  ParallelFor(0, n, [&](size_t lo, size_t hi) {
+    Fr cur = omega.Pow(lo);
+    for (size_t i = lo; i < hi; ++i) {
+      omega_pows[i] = cur;
+      cur *= omega;
+    }
+  });
+  std::vector<Fr> l(n, Fr::Zero());
+  const Fr vanishing = tau.Pow(n) - Fr::One();  // Z_H(tau) = tau^n - 1
+  if (vanishing.IsZero()) {
+    // tau = omega^j: every L_i vanishes at tau except L_j, which is 1 there.
+    for (size_t i = 0; i < n; ++i) {
+      if (omega_pows[i] == tau) {
+        l[i] = Fr::One();
+      }
+    }
+  } else {
+    // tau is outside the domain, so every tau - omega^i is nonzero.
+    for (size_t i = 0; i < n; ++i) {
+      l[i] = tau - omega_pows[i];
+    }
+    std::vector<Fr> scratch;
+    BatchInverseNonZero(l.data(), n, scratch);
+    const Fr scale = vanishing * Fr::FromU64(n).Inverse();
+    for (size_t i = 0; i < n; ++i) {
+      l[i] *= omega_pows[i] * scale;
+    }
+  }
+  std::vector<G1Affine> out(n);
+  GeneratorMultiples(l, out.data());
+  return out;
+}
+
+KzgPcs::KzgPcs(std::shared_ptr<const KzgSetup> setup, size_t max_len)
+    : setup_(std::move(setup)), max_len_(max_len) {
+  ZKML_CHECK_MSG(max_len_ <= setup_->powers.size(), "KZG view exceeds its setup");
+}
+
 PcsCommitment KzgPcs::Commit(const std::vector<Fr>& coeffs) const {
-  ZKML_CHECK_MSG(coeffs.size() <= setup_->powers.size(), "polynomial exceeds KZG setup");
+  ZKML_CHECK_MSG(coeffs.size() <= max_len_, "polynomial exceeds KZG setup");
   static obs::Counter& commits = obs::MetricsRegistry::Global().counter("pcs.kzg.commits");
   commits.Increment();
   return PcsCommitment{Msm(setup_->powers.data(), coeffs.data(), coeffs.size()).ToAffine()};
 }
 
+const std::vector<G1Affine>& KzgPcs::LagrangeTable(size_t n) const {
+  return lagrange_.Get(n, max_len_, [this](size_t size) { return setup_->LagrangeBases(size); });
+}
+
+void KzgPcs::PrepareLagrange(size_t n) const { LagrangeTable(n); }
+
 PcsCommitment KzgPcs::CommitLagrange(const std::vector<Fr>& evals) const {
   static obs::Counter& commits =
       obs::MetricsRegistry::Global().counter("pcs.kzg.lagrange_commits");
   commits.Increment();
-  const std::vector<G1Affine>& bases = lagrange_.Get(setup_->powers, evals.size());
+  const std::vector<G1Affine>& bases = LagrangeTable(evals.size());
   return PcsCommitment{Msm(bases.data(), evals.data(), evals.size()).ToAffine()};
 }
 

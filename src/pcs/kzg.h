@@ -20,13 +20,26 @@ namespace zkml {
 
 struct KzgSetup {
   std::vector<G1Affine> powers;  // tau^i * G for i < max_len
-  Fr tau;                        // trapdoor, used only by the simulated pairing check
+  Fr tau;  // trapdoor: used by the simulated pairing check and LagrangeBases
 
   // Local (insecure, test/benchmark-only) setup. The real system uses the
   // Perpetual Powers of Tau ceremony output. The trapdoor is drawn from the
   // seed before the powers, so setups sharing a seed share tau regardless of
-  // max_len — per-shard setups of different sizes aggregate soundly.
-  static KzgSetup Create(size_t max_len, uint64_t seed);
+  // max_len — per-shard setups of different sizes aggregate soundly, and the
+  // powers of a smaller setup are a prefix of a larger one's. `grow_from`,
+  // when given, must be a setup from the same seed; its powers are copied
+  // instead of recomputed.
+  static KzgSetup Create(size_t max_len, uint64_t seed, const KzgSetup* grow_from = nullptr);
+
+  // Lagrange bases for the size-n radix-2 domain (n a power of two), derived
+  // from the trapdoor: L_i = L_i(tau)·G with
+  //   L_i(tau) = omega^i (tau^n - 1) / (n (tau - omega^i)),
+  // one batch inversion plus n scalar multiplications instead of the
+  // (n/2)·log n of a G1 inverse FFT. If tau lies in the domain (tau = omega^j)
+  // L_i(tau) is the indicator [i == j]. The points equal
+  // LagrangeBasesFromMonomial(powers[0..n)) exactly; n may exceed
+  // powers.size().
+  std::vector<G1Affine> LagrangeBases(size_t n) const;
 };
 
 // One opening claim captured instead of checked: lhs == (tau - z)·W, the
@@ -72,21 +85,28 @@ class KzgAccumulator {
 
 class KzgPcs : public Pcs {
  public:
-  explicit KzgPcs(std::shared_ptr<const KzgSetup> setup) : setup_(std::move(setup)) {}
+  explicit KzgPcs(std::shared_ptr<const KzgSetup> setup)
+      : setup_(std::move(setup)), max_len_(setup_->powers.size()) {}
+
+  // A view committing at most max_len (<= setup->powers.size()) coefficients,
+  // so one setup grown for the largest circuit serves smaller ones with the
+  // max_len() each circuit was sized for.
+  KzgPcs(std::shared_ptr<const KzgSetup> setup, size_t max_len);
 
   // Deferred-verification mode: VerifyBatch records its final opening claim
   // into `defer` (not owned) and reports success; the caller must discharge
   // the accumulator with KzgAccumulator::Check. Proving is unaffected.
   KzgPcs(std::shared_ptr<const KzgSetup> setup, KzgAccumulator* defer)
-      : setup_(std::move(setup)), defer_(defer) {}
+      : setup_(std::move(setup)), max_len_(setup_->powers.size()), defer_(defer) {}
 
   const KzgSetup& setup() const { return *setup_; }
   const std::shared_ptr<const KzgSetup>& shared_setup() const { return setup_; }
 
   PcsKind kind() const override { return PcsKind::kKzg; }
-  size_t max_len() const override { return setup_->powers.size(); }
+  size_t max_len() const override { return max_len_; }
 
   PcsCommitment Commit(const std::vector<Fr>& coeffs) const override;
+  void PrepareLagrange(size_t n) const override;
   PcsCommitment CommitLagrange(const std::vector<Fr>& evals) const override;
   void OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const Fr& point,
                  Transcript* transcript, std::vector<uint8_t>* proof_out) const override;
@@ -95,7 +115,10 @@ class KzgPcs : public Pcs {
                      size_t* offset) const override;
 
  private:
+  const std::vector<G1Affine>& LagrangeTable(size_t n) const;
+
   std::shared_ptr<const KzgSetup> setup_;
+  size_t max_len_ = 0;
   KzgAccumulator* defer_ = nullptr;
   LagrangeBasisCache lagrange_;
 };

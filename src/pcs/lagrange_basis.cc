@@ -1,38 +1,23 @@
 #include "src/pcs/lagrange_basis.h"
 
-#include <utility>
-
 #include "src/base/check.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace zkml {
 
-const std::vector<G1Affine>& LagrangeBasisCache::Get(
-    const std::vector<G1Affine>& monomial_bases, size_t n) const {
+const std::vector<G1Affine>& LagrangeBasisCache::Get(size_t n, size_t max_len,
+                                                     const Builder& build) const {
   ZKML_CHECK_MSG(n != 0 && (n & (n - 1)) == 0,
                  "Lagrange commitment size must be a power of two");
-  ZKML_CHECK_MSG(n <= monomial_bases.size(), "Lagrange commitment size exceeds setup");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = by_size_.find(n);
-    if (it != by_size_.end()) {
-      return it->second;
-    }
-  }
-  // Build WITHOUT holding the mutex: the G1 FFT runs ParallelFor, and a
-  // thread helping the pool can steal a task that re-enters this function —
-  // holding the lock there would self-deadlock (same discipline as the
-  // domain's coset tables). A racing builder's copy is discarded by emplace;
-  // the values are identical and map node references stay stable.
-  static obs::Counter& builds =
-      obs::MetricsRegistry::Global().counter("pcs.lagrange_basis_builds");
-  builds.Increment();
-  obs::Span span("lagrange-basis-build");
-  std::vector<G1Affine> prefix(monomial_bases.begin(), monomial_bases.begin() + n);
-  std::vector<G1Affine> lagrange = LagrangeBasesFromMonomial(prefix);
-  std::lock_guard<std::mutex> lock(mu_);
-  return by_size_.emplace(n, std::move(lagrange)).first->second;
+  ZKML_CHECK_MSG(n <= max_len, "Lagrange commitment size exceeds setup");
+  return by_size_.GetOrBuild(n, [&] {
+    static obs::Counter& builds =
+        obs::MetricsRegistry::Global().counter("pcs.lagrange_basis_builds");
+    builds.Increment();
+    obs::Span span("lagrange-basis-build");
+    return build(n);
+  });
 }
 
 }  // namespace zkml

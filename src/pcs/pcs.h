@@ -34,12 +34,18 @@ class Pcs {
 
   virtual PcsCommitment Commit(const std::vector<Fr>& coeffs) const = 0;
 
+  // Builds the size-n Lagrange-basis table CommitLagrange uses, or waits for
+  // the one build already under way. Callers about to fan CommitLagrange out
+  // across the pool call this first, so no pool worker blocks on the build.
+  virtual void PrepareLagrange(size_t n) const = 0;
+
   // Commits to the polynomial whose evaluations over the radix-2 domain of
   // size evals.size() (a power of two, <= max_len()) are `evals`, without an
-  // iFFT: the MSM runs against a Lagrange-basis SRS derived once per size by
-  // a G1 inverse FFT of the monomial bases and cached. The returned point is
-  // bit-identical to Commit(IfftToCoeffs(evals)) — both are the same group
-  // element and affine serialization is canonical.
+  // iFFT: the MSM runs against a Lagrange-basis SRS built once per size and
+  // cached — KZG derives it from the trapdoor, IPA by a G1 inverse FFT of the
+  // monomial bases. The returned point is bit-identical to
+  // Commit(IfftToCoeffs(evals)) — both are the same group element and affine
+  // serialization is canonical.
   virtual PcsCommitment CommitLagrange(const std::vector<Fr>& evals) const = 0;
 
   // Proves the evaluations of `polys` at `point`. The caller must already

@@ -82,8 +82,11 @@ ProvingKey Keygen(const ConstraintSystem& cs, const Assignment& assignment, cons
   pk.vk.perm_columns = cs.PermutationColumns();
 
   // Fixed columns. Committing straight from value form (CommitLagrange)
-  // produces bit-identical commitments and warms the PCS's Lagrange-basis
-  // cache for the prover's evaluation-form commit rounds.
+  // produces bit-identical commitments to committing the coefficients. The
+  // size-n Lagrange table is fetched here, before the fan-outs below, so no
+  // pool worker blocks waiting for its one build; the prover's
+  // evaluation-form commit rounds reuse it.
+  pcs.PrepareLagrange(n);
   pk.fixed_values = assignment.fixed();
   pk.fixed_coeffs.resize(pk.fixed_values.size());
   pk.vk.fixed_commitments.resize(pk.fixed_values.size());

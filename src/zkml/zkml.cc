@@ -11,13 +11,6 @@
 
 namespace zkml {
 
-std::shared_ptr<Pcs> MakePcsBackend(PcsKind kind, size_t max_len, uint64_t seed) {
-  if (kind == PcsKind::kKzg) {
-    return std::make_shared<KzgPcs>(std::make_shared<KzgSetup>(KzgSetup::Create(max_len, seed)));
-  }
-  return std::make_shared<IpaPcs>(std::make_shared<IpaSetup>(IpaSetup::Create(max_len, seed)));
-}
-
 CompiledModel CompileModelWithLayout(const Model& model, const PhysicalLayout& layout,
                                      const ZkmlOptions& options) {
   obs::Span compile_span("compile");
@@ -32,8 +25,13 @@ CompiledModel CompileModelWithLayout(const Model& model, const PhysicalLayout& l
       .gauge("optimizer.predicted_prove_seconds")
       .Set(compiled.predicted_cost.total_seconds);
 
-  const size_t n = static_cast<size_t>(1) << layout.k;
-  compiled.pcs = MakePcsBackend(options.backend, n, options.setup_seed);
+  {
+    obs::Span setup_span("pcs-setup");
+    Timer setup_timer;
+    compiled.pcs = SharedPcsBackend(options.backend, static_cast<size_t>(1) << layout.k,
+                                    options.setup_seed);
+    compiled.setup_seconds = setup_timer.ElapsedSeconds();
+  }
 
   Timer keygen_timer;
   // Keygen runs on the zero-input circuit: fixed columns and copy constraints
@@ -236,7 +234,9 @@ obs::RunReport BuildRunReport(const CompiledModel& compiled, const ZkmlProof& pr
   report.rows_used = compiled.layout.rows_used;
   report.num_lookups = compiled.layout.num_lookups;
   report.predicted_prove_seconds = compiled.predicted_cost.total_seconds;
-  report.compile_seconds = compiled.optimizer_seconds + compiled.keygen_seconds;
+  report.compile_seconds =
+      compiled.optimizer_seconds + compiled.setup_seconds + compiled.keygen_seconds;
+  report.setup_seconds = compiled.setup_seconds;
   report.keygen_seconds = compiled.keygen_seconds;
   report.prove_seconds = proof.prove_seconds;
   report.verify_seconds = verify_seconds;

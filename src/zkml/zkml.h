@@ -17,6 +17,7 @@
 #include "src/optimizer/optimizer.h"
 #include "src/pcs/ipa.h"
 #include "src/pcs/kzg.h"
+#include "src/pcs/shared_pcs.h"
 #include "src/plonk/keygen.h"
 #include "src/plonk/prover.h"
 #include "src/plonk/verifier.h"
@@ -34,9 +35,14 @@ struct CompiledModel {
   Model model;
   PhysicalLayout layout;
   CostEstimate predicted_cost;
-  std::shared_ptr<Pcs> pcs;
+  // The process-wide backend for (backend, setup_seed, 2^k), shared with
+  // every other model compiled with the same triple (see SharedPcsBackend).
+  std::shared_ptr<const Pcs> pcs;
   ProvingKey pk;  // pk.vk is the verifying key
   double optimizer_seconds = 0;
+  // Acquiring the PCS backend: the SRS build on a process's first use of the
+  // triple, a registry lookup afterwards.
+  double setup_seconds = 0;
   double keygen_seconds = 0;
 };
 
@@ -83,9 +89,6 @@ bool Verify(const CompiledModel& compiled, const ZkmlProof& proof);
 // Verifier-side entry point needing only the verifying key.
 bool Verify(const VerifyingKey& vk, const Pcs& pcs, const std::vector<Fr>& instance,
             const std::vector<uint8_t>& proof_bytes);
-
-// Constructs the PCS backend used by CompileModel (exposed for benchmarks).
-std::shared_ptr<Pcs> MakePcsBackend(PcsKind kind, size_t max_len, uint64_t seed);
 
 // --- Soundness audit (the `zkml_cli audit` entry point). ---
 

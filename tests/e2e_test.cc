@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <thread>
+#include <vector>
 
 #include "src/layers/quant_executor.h"
 #include "src/model/zoo.h"
@@ -103,6 +105,45 @@ TEST(E2eTest, ExplicitLayoutRoundTrip) {
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 31), model.quant);
   const ZkmlProof proof = Prove(compiled, input);
   EXPECT_TRUE(Verify(compiled, proof));
+}
+
+// Compiles racing on one (backend, k, seed) pay for one setup and one
+// Lagrange table between them, and every compiled model holds the same
+// backend.
+TEST(SharedSetupTest, ConcurrentCompilesBuildOneTable) {
+  const Model model = MakeMnistCnn();
+  ZkmlOptions options = FastOptions(PcsKind::kKzg);
+  options.setup_seed = 0x5eed0201;  // no other test uses this setup
+  auto& builds = obs::MetricsRegistry::Global().counter("pcs.lagrange_basis_builds");
+  const uint64_t before = builds.Value();
+  std::vector<CompiledModel> compiled(4);
+  std::vector<std::thread> threads;
+  for (CompiledModel& c : compiled) {
+    threads.emplace_back([&] { c = CompileModel(model, options); });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(builds.Value() - before, 1u);
+  for (const CompiledModel& c : compiled) {
+    EXPECT_EQ(c.pcs, compiled[0].pcs);
+    EXPECT_EQ(c.pk.vk.fixed_commitments, compiled[0].pk.vk.fixed_commitments);
+  }
+}
+
+TEST(SharedSetupTest, EqualOptionsShareOneSetupObject) {
+  const Model model = MakeMnistCnn();
+  const ZkmlOptions options = FastOptions(PcsKind::kIpa);
+  const CompiledModel a = CompileModel(model, options);
+  const CompiledModel b = CompileModel(model, options);
+  ASSERT_EQ(a.layout.k, b.layout.k);
+  EXPECT_EQ(a.pcs, b.pcs);
+  const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 41), model.quant);
+  EXPECT_TRUE(Verify(b, Prove(a, input)));
+
+  ZkmlOptions other_seed = options;
+  other_seed.setup_seed = options.setup_seed + 1;
+  EXPECT_NE(CompileModelWithLayout(model, a.layout, other_seed).pcs, a.pcs);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/base/rng.h"
 #include "src/ec/g1.h"
 #include "src/ec/glv.h"
@@ -59,6 +61,22 @@ TEST(G1Test, GroupOrderAnnihilates) {
   // Fr arithmetic reduces mod p, so instead mul by canonical p-1 directly:
   // ScalarMul uses the canonical form, and FromCanonical(p-1) keeps it.
   EXPECT_EQ(acc + g, G1::Identity());
+}
+
+TEST(G1Test, GeneratorMulMatchesScalarMul) {
+  const G1 g = G1::Generator();
+  U256 p_minus_1;
+  SubU256(FrParams::Modulus(), U256::FromU64(1), &p_minus_1);
+  // Edge scalars: zero, one, every byte 0xff up to the top window, r - 1.
+  std::vector<Fr> scalars = {Fr::Zero(), Fr::One(), Fr::FromU64(255), Fr::FromU64(256),
+                             Fr::FromU64(~0ULL), Fr::FromCanonical(p_minus_1)};
+  Rng rng(4);
+  for (int i = 0; i < 64; ++i) {
+    scalars.push_back(Fr::Random(rng));
+  }
+  for (const Fr& s : scalars) {
+    EXPECT_EQ(GeneratorMul(s), g.ScalarMul(s));
+  }
 }
 
 TEST(G1Test, AffineRoundTrip) {

@@ -296,6 +296,7 @@ TEST(RunReportTest, RoundTripsThroughParser) {
   report.num_lookups = 7;
   report.predicted_prove_seconds = 1.25;
   report.compile_seconds = 0.5;
+  report.setup_seconds = 0.1;
   report.keygen_seconds = 0.3;
   report.prove_seconds = 1.5;
   report.verify_seconds = 0.02;
@@ -317,6 +318,7 @@ TEST(RunReportTest, RoundTripsThroughParser) {
   EXPECT_EQ(r.rows_used, 3500u);
   EXPECT_EQ(r.num_lookups, 7u);
   EXPECT_DOUBLE_EQ(r.predicted_prove_seconds, 1.25);
+  EXPECT_DOUBLE_EQ(r.setup_seconds, 0.1);
   EXPECT_DOUBLE_EQ(r.prove_seconds, 1.5);
   EXPECT_EQ(r.proof_bytes, 4096u);
   ASSERT_EQ(r.stages.size(), 2u);
@@ -329,6 +331,20 @@ TEST(RunReportTest, RoundTripsThroughParser) {
   Json wrong = report.ToJson();
   wrong.Set("schema", "zkml.run_report/v999");
   EXPECT_FALSE(obs::RunReport::FromJson(wrong).ok());
+}
+
+// Reports written before setup was timed have no timings.setup_seconds.
+TEST(RunReportTest, MissingSetupSecondsParsesAsZero) {
+  obs::RunReport report;
+  report.compile_seconds = 0.5;
+  Json j = report.ToJson();
+  Json timings = Json::Object();
+  timings.Set("compile_seconds", 0.5);
+  j.Set("timings", std::move(timings));
+  StatusOr<obs::RunReport> back = obs::RunReport::FromJson(j);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_DOUBLE_EQ(back.value().compile_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(back.value().setup_seconds, 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@
 #include <memory>
 
 #include "src/base/rng.h"
+#include "src/base/thread_pool.h"
+#include "src/obs/metrics.h"
 #include "src/pcs/ipa.h"
 #include "src/pcs/kzg.h"
+#include "src/pcs/shared_pcs.h"
+#include "src/poly/domain.h"
 #include "src/poly/polynomial.h"
 
 namespace zkml {
@@ -202,6 +206,120 @@ TEST(IpaTest, ProofIsLogarithmic) {
   pcs.OpenBatch({&coeffs}, Fr::Random(rng), &pt, &proof);
   // 4 bytes size + 6 rounds * 2 points * 33 bytes + 32-byte scalar.
   EXPECT_EQ(proof.size(), 4u + 6u * 2u * 33u + 32u);
+}
+
+uint64_t LagrangeBuilds() {
+  return obs::MetricsRegistry::Global().counter("pcs.lagrange_basis_builds").Value();
+}
+
+// The trapdoor derivation and the G1 inverse FFT must give the same points,
+// for every domain size the setup covers.
+TEST(KzgLagrangeTest, FromTauMatchesInverseFftForEveryK) {
+  constexpr int kMaxK = 12;
+  const KzgSetup setup = KzgSetup::Create(static_cast<size_t>(1) << kMaxK, 5);
+  for (int k = 0; k <= kMaxK; ++k) {
+    const size_t n = static_cast<size_t>(1) << k;
+    const std::vector<G1Affine> prefix(setup.powers.begin(), setup.powers.begin() + n);
+    EXPECT_EQ(setup.LagrangeBases(n), LagrangeBasesFromMonomial(prefix)) << "k=" << k;
+  }
+}
+
+// tau = omega^3 of the size-16 domain makes tau^n - 1 vanish for n = 16 (the
+// closed form would divide by zero); smaller domains keep the regular path.
+TEST(KzgLagrangeTest, TauInsideTheDomainGivesTheIndicatorBasis) {
+  constexpr int kK = 4;
+  constexpr size_t kN = static_cast<size_t>(1) << kK;
+  KzgSetup setup;
+  setup.tau = FrRootOfUnity(kK).Pow(3);
+  Fr tau_i = Fr::One();
+  for (size_t i = 0; i < kN; ++i) {
+    setup.powers.push_back(G1::Generator().ScalarMul(tau_i).ToAffine());
+    tau_i *= setup.tau;
+  }
+  for (int k = 0; k <= kK; ++k) {
+    const size_t n = static_cast<size_t>(1) << k;
+    const std::vector<G1Affine> prefix(setup.powers.begin(), setup.powers.begin() + n);
+    EXPECT_EQ(setup.LagrangeBases(n), LagrangeBasesFromMonomial(prefix)) << "k=" << k;
+  }
+  const std::vector<G1Affine> bases = setup.LagrangeBases(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(bases[i], i == 3 ? G1Affine::Generator() : G1Affine::Identity()) << "i=" << i;
+  }
+}
+
+TEST(KzgSetupTest, GrownSetupEqualsFreshSetup) {
+  const KzgSetup small = KzgSetup::Create(16, 13);
+  const KzgSetup grown = KzgSetup::Create(64, 13, &small);
+  const KzgSetup fresh = KzgSetup::Create(64, 13);
+  EXPECT_EQ(grown.tau, fresh.tau);
+  EXPECT_EQ(grown.powers, fresh.powers);
+}
+
+// Every pool worker commits from evaluation form on a cold backend at once:
+// one builds the table, the rest wait for it, and the fan-out completes.
+TEST(LagrangeCacheTest, ConcurrentFirstCommitsBuildOnce) {
+  constexpr size_t kN = 1024;  // large enough that the build itself runs in parallel
+  const KzgPcs pcs(std::make_shared<KzgSetup>(KzgSetup::Create(kN, 17)));
+  Rng rng(17);
+  const std::vector<Fr> evals = RandomCoeffs(rng, kN);
+  const size_t tasks = 2 * ThreadPool::Global().num_threads() + 1;
+  std::vector<PcsCommitment> got(tasks);
+  const uint64_t before = LagrangeBuilds();
+  {
+    TaskGroup group;
+    for (size_t t = 0; t < tasks; ++t) {
+      group.Submit([&, t] { got[t] = pcs.CommitLagrange(evals); });
+    }
+  }
+  EXPECT_EQ(LagrangeBuilds() - before, 1u);
+  const PcsCommitment want = pcs.Commit(EvaluationDomain(10).IfftToCoeffs(evals));
+  for (const PcsCommitment& c : got) {
+    EXPECT_EQ(c, want);
+  }
+}
+
+TEST(SharedPcsTest, SameTripleSharesOneBackend) {
+  constexpr uint64_t kSeed = 0x5eed0101;
+  const auto a = SharedPcsBackend(PcsKind::kKzg, 64, kSeed);
+  EXPECT_EQ(a, SharedPcsBackend(PcsKind::kKzg, 64, kSeed));
+  EXPECT_NE(a, SharedPcsBackend(PcsKind::kKzg, 64, kSeed + 1));
+  EXPECT_NE(a, SharedPcsBackend(PcsKind::kIpa, 64, kSeed));
+}
+
+// A larger KZG request grows the seed's setup; a smaller one is a view of it.
+// Either way each backend keeps the max_len it was asked for.
+TEST(SharedPcsTest, KzgViewsKeepTheirSizeOverOneTrapdoor) {
+  constexpr uint64_t kSeed = 0x5eed0102;
+  const auto mid = SharedPcsBackend(PcsKind::kKzg, 32, kSeed);
+  const auto big = SharedPcsBackend(PcsKind::kKzg, 128, kSeed);
+  const auto small = SharedPcsBackend(PcsKind::kKzg, 8, kSeed);
+  EXPECT_EQ(mid->max_len(), 32u);
+  EXPECT_EQ(big->max_len(), 128u);
+  EXPECT_EQ(small->max_len(), 8u);
+  const auto& mid_kzg = dynamic_cast<const KzgPcs&>(*mid);
+  const auto& big_kzg = dynamic_cast<const KzgPcs&>(*big);
+  const auto& small_kzg = dynamic_cast<const KzgPcs&>(*small);
+  EXPECT_EQ(small_kzg.shared_setup(), big_kzg.shared_setup());
+  EXPECT_EQ(mid_kzg.setup().tau, big_kzg.setup().tau);
+  EXPECT_EQ(big_kzg.setup().powers, KzgSetup::Create(128, kSeed).powers);
+  // Commitments through a view equal those of a setup made for that size.
+  Rng rng(18);
+  const std::vector<Fr> coeffs = RandomCoeffs(rng, 8);
+  EXPECT_EQ(small->Commit(coeffs),
+            KzgPcs(std::make_shared<KzgSetup>(KzgSetup::Create(8, kSeed))).Commit(coeffs));
+}
+
+// IPA's u is the generator after the basis, so it moves with the size: IPA
+// backends are shared per exact size only.
+TEST(SharedPcsTest, IpaSizesKeepDistinctU) {
+  constexpr uint64_t kSeed = 0x5eed0103;
+  const auto& a = dynamic_cast<const IpaPcs&>(*SharedPcsBackend(PcsKind::kIpa, 64, kSeed));
+  const auto& b = dynamic_cast<const IpaPcs&>(*SharedPcsBackend(PcsKind::kIpa, 128, kSeed));
+  EXPECT_EQ(a.max_len(), 64u);
+  EXPECT_EQ(b.max_len(), 128u);
+  EXPECT_FALSE(a.setup().u == b.setup().u);
+  EXPECT_EQ(a.setup().u, IpaSetup::Create(64, kSeed).u);
+  EXPECT_EQ(b.setup().u, IpaSetup::Create(128, kSeed).u);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <memory>
 
 #include "src/base/rng.h"
+#include "src/base/thread_pool.h"
+#include "src/obs/metrics.h"
 #include "src/pcs/ipa.h"
 #include "src/pcs/kzg.h"
 #include "src/plonk/keygen.h"
@@ -288,6 +290,47 @@ TEST(ExpressionTest, DegreeAndQueries) {
     return q.column.type == ColumnType::kFixed ? Fr::FromU64(2) : Fr::FromU64(3);
   });
   EXPECT_EQ(got, Fr::FromU64(2 * (9 + 7)));
+}
+
+// Keygens on one cold backend run as pool tasks, with more of them than the
+// pool has workers, and each fans its column commits out again. The first to
+// reach the Lagrange table builds it while the others wait; the builder must
+// finish alone, so every keygen completes with identical keys and one build.
+TEST(KeygenTest, FanOutFillingThePoolBuildsTheTableOnce) {
+  constexpr int kK = 10;  // large enough that the table build runs in parallel
+  constexpr size_t kN = static_cast<size_t>(1) << kK;
+  const size_t workers = ThreadPool::Global().num_threads();
+  ConstraintSystem cs;
+  const Column a = cs.AddAdviceColumn(/*equality_enabled=*/true);
+  std::vector<Column> fixed;
+  for (size_t i = 0; i < 2 * workers + 1; ++i) {
+    fixed.push_back(cs.AddFixedColumn());
+  }
+  cs.AddGate("zero", Expression::Query(fixed[0]) * Expression::Query(a));
+  Assignment asn(cs, kN);
+  Rng rng(40);
+  for (const Column& f : fixed) {
+    for (size_t r = 0; r < kN; ++r) {
+      asn.SetFixed(f, r, Fr::Random(rng));
+    }
+  }
+  const KzgPcs pcs(std::make_shared<KzgSetup>(KzgSetup::Create(kN, 40)));
+  auto& builds = obs::MetricsRegistry::Global().counter("pcs.lagrange_basis_builds");
+  const uint64_t before = builds.Value();
+  std::vector<ProvingKey> pks(workers + 1);
+  {
+    TaskGroup group;
+    for (size_t t = 0; t < pks.size(); ++t) {
+      group.Submit([&, t] { pks[t] = Keygen(cs, asn, pcs, kK); });
+    }
+  }
+  EXPECT_EQ(builds.Value() - before, 1u);
+  for (const ProvingKey& pk : pks) {
+    ASSERT_EQ(pk.vk.fixed_commitments.size(), fixed.size());
+    for (size_t i = 0; i < fixed.size(); ++i) {
+      EXPECT_EQ(pk.vk.fixed_commitments[i], pcs.Commit(pk.fixed_coeffs[i])) << "column " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/once_map.h"
 #include "src/base/thread_pool.h"
 
 namespace zkml {
@@ -136,6 +137,39 @@ TEST(ThreadPoolTest, SiblingTasksSharingLazyInitDoNotDeadlock) {
     EXPECT_EQ(init_runs.load(), 16);
     EXPECT_EQ(task_runs.load(), 8);
   }
+}
+
+// Racing callers of one key share a single build, even when the builder runs
+// a parallel section while every other pool worker is blocked waiting on it.
+TEST(OnceMapTest, RacingCallersShareOneBuild) {
+  OnceMap<int, std::vector<int>> map;
+  std::atomic<int> builds{0};
+  const size_t tasks = 2 * ThreadPool::Global().num_threads() + 1;
+  std::vector<const std::vector<int>*> got(tasks);
+  {
+    TaskGroup group;
+    for (size_t t = 0; t < tasks; ++t) {
+      group.Submit([&, t] {
+        got[t] = &map.GetOrBuild(7, [&] {
+          builds.fetch_add(1, std::memory_order_relaxed);
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          std::vector<int> v(4096);
+          ParallelFor(0, v.size(), [&](size_t lo, size_t hi) {
+            for (size_t i = lo; i < hi; ++i) {
+              v[i] = static_cast<int>(i);
+            }
+          });
+          return v;
+        });
+      });
+    }
+  }
+  EXPECT_EQ(builds.load(), 1);
+  for (const std::vector<int>* v : got) {
+    EXPECT_EQ(v, got[0]);
+  }
+  EXPECT_EQ((*got[0])[4095], 4095);
+  EXPECT_EQ(map.GetOrBuild(8, [] { return std::vector<int>{1}; }), std::vector<int>{1});
 }
 
 }  // namespace
