@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <optional>
 #include <utility>
@@ -685,11 +686,6 @@ std::shared_ptr<ZkmlServer::Job> ZkmlServer::AdmitJob(ProveRequest request,
                          : std::min(request.deadline_ms, options_.max_deadline_ms);
   job->request = std::move(request);
   job->done = job->done_promise.get_future().share();
-  job->enqueued = SteadyClock::now();
-  // The deadline clock starts at admission: queue wait, compile, witness, and
-  // proving all spend from the same budget.
-  job->deadline_tp = job->enqueued + std::chrono::milliseconds(job->deadline_ms);
-  job->cancel->SetDeadline(job->deadline_tp);
 
   size_t depth = 0;
   {
@@ -706,6 +702,13 @@ std::shared_ptr<ZkmlServer::Job> ZkmlServer::AdmitJob(ProveRequest request,
       depth = queue_.size();
       job = nullptr;
     } else {
+      // The deadline clock starts at admission: queue wait, compile, witness,
+      // and proving all spend from the same budget. Stamping under the lock
+      // keeps queue order and admission order one, so among jobs with equal
+      // budgets the queue front always holds the earliest deadline.
+      job->enqueued = SteadyClock::now();
+      job->deadline_tp = job->enqueued + std::chrono::milliseconds(job->deadline_ms);
+      job->cancel->SetDeadline(job->deadline_tp);
       queue_.push_back(job);
       counters_->jobs_accepted.Inc();
       depth = queue_.size();
@@ -747,15 +750,18 @@ void ZkmlServer::WorkerLoop(int worker_index) {
       group.front()->worker.store(worker_index, std::memory_order_relaxed);
       running_.push_back(group.front());
       // Request coalescing: claim queued jobs for the same (model, backend)
-      // so one batched circuit proves them all. Only whole jobs are claimed —
-      // anything incompatible stays queued for another worker.
+      // so one batched circuit proves them all. Only whole jobs whose
+      // deadline is no earlier than the lead's are claimed, so a member with
+      // a shorter budget never cuts the group's clock below the lead's own;
+      // anything else stays queued for another worker.
       if (options_.coalesce_max > 1 && coalescable(*group.front())) {
         const Job& lead = *group.front();
         for (auto it = queue_.begin();
              it != queue_.end() && group.size() < options_.coalesce_max;) {
           Job& j = **it;
           if (coalescable(j) && j.request.backend == lead.request.backend &&
-              j.request.model_text == lead.request.model_text) {
+              j.request.model_text == lead.request.model_text &&
+              j.deadline_tp >= lead.deadline_tp) {
             j.worker.store(worker_index, std::memory_order_relaxed);
             running_.push_back(*it);
             group.push_back(std::move(*it));
@@ -767,11 +773,7 @@ void ZkmlServer::WorkerLoop(int worker_index) {
       }
     }
 
-    if (group.size() == 1) {
-      ExecuteJob(group.front());
-    } else {
-      ExecuteCoalescedJobs(group);
-    }
+    ExecuteGroup(group);
 
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
@@ -785,31 +787,139 @@ void ZkmlServer::WorkerLoop(int worker_index) {
   }
 }
 
-void ZkmlServer::ExecuteJob(const std::shared_ptr<Job>& job) {
-  // Trace sampling: every Nth admitted job runs under its own Tracer; the
-  // scope must close before export so all spans are complete.
+namespace {
+
+using Circuits = std::vector<std::shared_ptr<const CompiledModel>>;
+
+// Inferences one request asks for: its batch, or one.
+size_t InferenceCount(const ProveRequest& r) { return r.batch > 1 ? r.batch : 1; }
+
+// What proving a group produced, in the shape every circuit kind shares.
+struct ProvedCircuit {
+  obs::Json report;  // the per-job report document (null unless asked for)
+  std::vector<uint8_t> artifact;              // response.proof
+  std::vector<Fr> instance;                   // the full statement
+  std::vector<std::vector<int64_t>> outputs;  // one per inference, in order
+};
+
+// How a group is proved: the circuits to compile (one cache key each) and
+// the prove step over them. `shards`/`batch` are the response fields.
+struct CircuitPlan {
+  uint32_t shards = 1;
+  uint32_t batch = 0;
+  std::vector<std::string> keys;
+  std::function<StatusOr<CompiledModel>(size_t circuit)> compile;
+  std::string prove_histogram;  // kind-labelled prove series ("" = none)
+  std::function<StatusOr<ProvedCircuit>(const Circuits&, const std::vector<Tensor<int64_t>>&,
+                                        const CancelToken*, double compile_seconds, bool report)>
+      prove;
+};
+
+// The one place that tells circuit kinds apart. Sharded when a lone job asks
+// for more than one shard and the model can be cut that way (a request for
+// more shards than the graph admits falls back to one circuit and answers
+// shards = 1); batched when the group carries more than one inference in
+// total; single otherwise. Cache keys are `hash:kzg`, `hash:shardI/K:kzg`
+// and `hash:batchN:kzg` (`:ipa` likewise), so an explicit batch of N and a
+// coalesced group of N share one compilation.
+StatusOr<CircuitPlan> PlanCircuit(const Model& model, const std::string& model_hash,
+                                  const ZkmlOptions& zo, size_t jobs, size_t inferences,
+                                  uint32_t requested_shards, ShardProgressFn progress) {
+  const std::string backend = zo.backend == PcsKind::kIpa ? ":ipa" : ":kzg";
+  CircuitPlan plan;
+  const size_t shards =
+      jobs == 1 && requested_shards > 1 ? ResolveShardCount(model, requested_shards) : 1;
+  if (shards > 1) {
+    auto sharded = std::make_shared<CompiledShardedModel>();
+    ZKML_ASSIGN_OR_RETURN(sharded->partition, PartitionModel(model, shards));
+    sharded->model = model;
+    sharded->backend = zo.backend;
+    plan.shards = static_cast<uint32_t>(shards);
+    for (size_t i = 0; i < shards; ++i) {
+      plan.keys.push_back(model_hash + ":shard" + std::to_string(i) + "/" +
+                          std::to_string(shards) + backend);
+    }
+    plan.compile = [sharded, zo](size_t i) -> StatusOr<CompiledModel> {
+      return CompileModel(sharded->partition.shards[i].model, zo);
+    };
+    plan.prove_histogram = "serve.stage_seconds.prove.shards" + std::to_string(shards);
+    plan.prove = [sharded, progress](const Circuits& circuits,
+                                     const std::vector<Tensor<int64_t>>& inputs,
+                                     const CancelToken* cancel, double compile_seconds,
+                                     bool report) -> StatusOr<ProvedCircuit> {
+      sharded->shards = circuits;
+      sharded->compile_seconds = compile_seconds;
+      ZKML_ASSIGN_OR_RETURN(ShardedProof proof,
+                            CreateShardedProof(*sharded, inputs[0], cancel, progress));
+      return ProvedCircuit{report ? ShardedReportJson(*sharded, proof) : obs::Json(),
+                           EncodeShardedProof(proof), std::move(proof.instance),
+                           {proof.output_q.ToVector()}};
+    };
+    return plan;
+  }
+  if (inferences > 1) {
+    plan.batch = static_cast<uint32_t>(inferences);
+    plan.keys = {model_hash + ":batch" + std::to_string(inferences) + backend};
+    plan.compile = [&model, inferences, zo](size_t) -> StatusOr<CompiledModel> {
+      ZKML_ASSIGN_OR_RETURN(CompiledBatchedModel batched, CompileBatched(model, inferences, zo));
+      return std::move(batched.compiled);
+    };
+    plan.prove_histogram = "serve.stage_seconds.prove.batch" + std::to_string(inferences);
+    plan.prove = [](const Circuits& circuits, const std::vector<Tensor<int64_t>>& inputs,
+                    const CancelToken* cancel, double, bool report) -> StatusOr<ProvedCircuit> {
+      ZKML_ASSIGN_OR_RETURN(BatchedProof proof, CreateBatchedProof(*circuits[0], inputs, cancel));
+      ProvedCircuit out{report ? BatchedReportJson(*circuits[0], proof) : obs::Json(),
+                        EncodeBatchedProof(proof), std::move(proof.instance), {}};
+      for (const Tensor<int64_t>& out_q : proof.outputs_q) out.outputs.push_back(out_q.ToVector());
+      return out;
+    };
+    return plan;
+  }
+  plan.keys = {model_hash + backend};
+  plan.compile = [&model, zo](size_t) -> StatusOr<CompiledModel> {
+    return CompileModel(model, zo);
+  };
+  plan.prove = [](const Circuits& circuits, const std::vector<Tensor<int64_t>>& inputs,
+                  const CancelToken* cancel, double, bool report) -> StatusOr<ProvedCircuit> {
+    ZKML_ASSIGN_OR_RETURN(ZkmlProof proof, ProveCancellable(*circuits[0], inputs[0], cancel));
+    return ProvedCircuit{report ? BuildRunReport(*circuits[0], proof).ToJson() : obs::Json(),
+                         std::move(proof.bytes), std::move(proof.instance),
+                         {proof.output_q.ToVector()}};
+  };
+  return plan;
+}
+
+}  // namespace
+
+void ZkmlServer::ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group) {
+  // Trace sampling, keyed on the lead job: every Nth admitted job's group
+  // runs under its own Tracer; the scope must close before export so all
+  // spans are complete.
+  const Job& lead = *group.front();
   const bool sampled = options_.trace_sample_every > 0 &&
-                       (job->id - 1) % options_.trace_sample_every == 0;
+                       (lead.id - 1) % options_.trace_sample_every == 0;
   std::optional<obs::Tracer> tracer;
   if (sampled) tracer.emplace();
   {
     std::optional<obs::TracerScope> scope;
     if (tracer) scope.emplace(&*tracer);
-    ExecuteJobInner(job);
+    RunGroup(group);
   }
   if (tracer) {
     obs::Json doc = tracer->ToReportJson();
-    doc.Set("job_id", job->id);
-    doc.Set("request_id", job->request_id);
-    doc.Set("outcome", job->ok ? "ok" : WireErrorCodeName(job->error.code));
-    if (!job->ok) doc.Set("error_stage", WireStageName(job->error.stage));
+    doc.Set("job_id", lead.id);
+    doc.Set("request_id", lead.request_id);
+    doc.Set("outcome", lead.ok ? "ok" : WireErrorCodeName(lead.error.code));
+    if (!lead.ok) doc.Set("error_stage", WireStageName(lead.error.stage));
     trace_ring_.Add(std::move(doc));
   }
 
-  if (event_log_ != nullptr) {
+  if (event_log_ == nullptr) return;
+  for (const auto& job : group) {
     obs::Json fields = obs::Json::Object();
     fields.Set("job_id", job->id);
     fields.Set("request_id", job->request_id);
+    if (group.size() > 1) fields.Set("coalesced", static_cast<uint64_t>(group.size()));
     fields.Set("elapsed_s", SecondsBetween(job->enqueued, SteadyClock::now()));
     const char* event = "job_completed";
     if (!job->ok) {
@@ -827,651 +937,220 @@ void ZkmlServer::ExecuteJob(const std::shared_ptr<Job>& job) {
   }
 }
 
-void ZkmlServer::ExecuteJobInner(const std::shared_ptr<Job>& job) {
+void ZkmlServer::RunGroup(const std::vector<std::shared_ptr<Job>>& group) {
   const auto started = SteadyClock::now();
-  const uint64_t queue_micros = MicrosBetween(job->enqueued, started);
-  counters_->stage_admission->Record(static_cast<double>(queue_micros) / 1e6);
-
-  auto fail = [&](WireErrorCode code, WireStage stage, std::string message) {
-    job->ok = false;
-    job->error = {code, stage, std::move(message)};
+  // Members still in the running; a member that fails leaves the group
+  // alone, and a failure after compile takes every live member with it.
+  std::vector<Job*> live;
+  auto set_stage = [&](WireStage stage) {
+    for (Job* job : live) job->stage.store(static_cast<uint8_t>(stage), std::memory_order_relaxed);
   };
-  // Maps a cancellation Status onto the wire: watchdog/drain Cancel() →
-  // CANCELLED, expired budget → DEADLINE_EXCEEDED. The Status message names
-  // the checkpoint that noticed (e.g. "deadline exceeded at quotient").
-  auto fail_cancel = [&](const Status& s, WireStage stage) {
+  // Fails one member and bumps the counter its error code belongs to.
+  auto fail = [&](Job& job, WireErrorCode code, WireStage stage, std::string message) {
+    switch (code) {
+      case WireErrorCode::kCancelled: counters_->jobs_cancelled.Inc(); break;
+      case WireErrorCode::kDeadlineExceeded: counters_->jobs_deadline_exceeded.Inc(); break;
+      case WireErrorCode::kInternal: counters_->jobs_failed_internal.Inc(); break;
+      default: counters_->jobs_rejected_malformed.Inc(); break;
+    }
+    job.ok = false;
+    job.error = {code, stage, std::move(message)};
+  };
+  // Maps a failed Status onto the wire: watchdog/drain Cancel() → CANCELLED,
+  // expired budget → DEADLINE_EXCEEDED (the message names the checkpoint
+  // that noticed, e.g. "deadline exceeded at quotient"), anything else →
+  // INTERNAL.
+  auto fail_status = [&](Job& job, const Status& s, WireStage stage) {
     if (s.code() == StatusCode::kCancelled) {
-      counters_->jobs_cancelled.Inc();
-      fail(WireErrorCode::kCancelled, stage,
-           job->reaped.load(std::memory_order_relaxed) ? "reaped by watchdog: " + s.message()
-                                                       : s.message());
+      fail(job, WireErrorCode::kCancelled, stage,
+           job.reaped.load(std::memory_order_relaxed) ? "reaped by watchdog: " + s.message()
+                                                      : s.message());
+    } else if (s.code() == StatusCode::kDeadlineExceeded) {
+      fail(job, WireErrorCode::kDeadlineExceeded, stage, s.message());
     } else {
-      counters_->jobs_deadline_exceeded.Inc();
-      fail(WireErrorCode::kDeadlineExceeded, stage, s.message());
+      fail(job, WireErrorCode::kInternal, stage, s.message());
     }
   };
+  auto fail_live = [&](const Status& s, WireStage stage) {
+    for (Job* job : live) fail_status(*job, s, stage);
+    live.clear();
+  };
 
-  // A job whose budget evaporated in the queue is shed before any work.
-  Status live = job->cancel->Check("queue-wait");
-  if (!live.ok()) {
-    fail_cancel(live, WireStage::kAdmission);
-    return;
+  // 1. Admission: a member whose budget evaporated in the queue is shed
+  // before any work.
+  for (const auto& job : group) {
+    counters_->stage_admission->Record(SecondsBetween(job->enqueued, started));
+    const Status s = job->cancel->Check("queue-wait");
+    if (s.ok()) {
+      live.push_back(job.get());
+    } else {
+      fail_status(*job, s, WireStage::kAdmission);
+    }
   }
+  if (live.empty()) return;
 
-  job->stage.store(static_cast<uint8_t>(WireStage::kModelParse), std::memory_order_relaxed);
-  StatusOr<Model> model = DeserializeModel(job->request.model_text);
+  // 2. One parse serves the whole group (members share the model text).
+  set_stage(WireStage::kModelParse);
+  StatusOr<Model> model = DeserializeModel(live.front()->request.model_text);
   if (!model.ok()) {
-    counters_->jobs_rejected_malformed.Inc();
-    fail(WireErrorCode::kMalformedModel, WireStage::kModelParse, model.status().message());
+    for (Job* job : live) {
+      fail(*job, WireErrorCode::kMalformedModel, WireStage::kModelParse,
+           model.status().message());
+    }
     return;
   }
 
-  if (job->request.batch > 1 && job->request.shards > 1) {
-    counters_->jobs_rejected_malformed.Inc();
-    fail(WireErrorCode::kMalformedRequest, WireStage::kModelParse,
-         "request asks for both sharded (" + std::to_string(job->request.shards) +
-             ") and batched (" + std::to_string(job->request.batch) +
-             ") proving; pick one");
-    return;
-  }
-
-  // Batched multi-inference proving: one circuit proves `batch` inferences
-  // and the response carries a zkml.batched_proof/v1 artifact.
-  if (job->request.batch > 1) {
-    ExecuteBatchedJob(job, *model, job->request.batch, queue_micros, started);
-    return;
-  }
-
-  // Sharded proving takes its own pipeline: per-shard compilations flow
-  // through the cache under shard-suffixed keys, and the response carries a
-  // zkml.sharded_proof/v1 artifact. A request for >1 shards on a model whose
-  // graph admits no cut falls back to the single-circuit path (shards = 1 in
-  // the response tells the client what actually ran).
-  if (job->request.shards > 1) {
-    const size_t k = ResolveShardCount(*model, job->request.shards);
-    if (k > 1) {
-      ExecuteShardedJob(job, *model, k, queue_micros, started);
-      return;
+  // 3. Requests, member by member: a member whose request or explicit input
+  // is malformed fails alone, so the group shrinks before anything is
+  // compiled for it.
+  const size_t per = static_cast<size_t>(model->input_shape.NumElements());
+  size_t inferences = 0;
+  std::vector<Job*> accepted;
+  for (Job* job : live) {
+    const ProveRequest& r = job->request;
+    const size_t n = InferenceCount(r);
+    if (r.batch > 1 && r.shards > 1) {
+      fail(*job, WireErrorCode::kMalformedRequest, WireStage::kModelParse,
+           "request asks for both sharded (" + std::to_string(r.shards) + ") and batched (" +
+               std::to_string(r.batch) + ") proving; pick one");
+    } else if (!r.input.empty() && r.input.size() != n * per) {
+      fail(*job, WireErrorCode::kInputMismatch, WireStage::kWitness,
+           "input has " + std::to_string(r.input.size()) + " elements, model wants " +
+               std::to_string(n * per) +
+               (n > 1 ? " (batch " + std::to_string(n) + " x " + std::to_string(per) + ")"
+                      : std::string()));
+    } else {
+      inferences += n;
+      accepted.push_back(job);
     }
   }
+  live = std::move(accepted);
+  if (live.empty()) return;
 
-  job->stage.store(static_cast<uint8_t>(WireStage::kCompile), std::memory_order_relaxed);
+  // The group proves under the token of the member whose deadline comes
+  // first, so no member is answered OK after its own budget ran out.
+  const Job& pacer = **std::min_element(live.begin(), live.end(), [](const Job* a, const Job* b) {
+    return a->deadline_tp < b->deadline_tp;
+  });
+  Job& lead = *live.front();
+
+  // 4. Compile every circuit of the plan through the cache.
+  set_stage(WireStage::kCompile);
   const auto compile_start = SteadyClock::now();
-  const std::string key =
-      ModelHashHex(job->request.model_text) + (job->request.backend == 1 ? ":ipa" : ":kzg");
-  bool cache_hit = true;
-  StatusOr<std::shared_ptr<const CompiledModel>> compiled = [&] {
-    obs::Span span("serve.compile");
-    return cache_.GetOrCompile(key, [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
-      cache_hit = false;
-      ZkmlOptions zo;
-      zo.backend = job->request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
-      zo.optimizer.backend = zo.backend;
-      zo.optimizer.min_columns = options_.optimizer_min_columns;
-      zo.optimizer.max_columns = options_.optimizer_max_columns;
-      zo.optimizer.max_k = options_.optimizer_max_k;
-      return std::make_shared<const CompiledModel>(CompileModel(*model, zo));
-    });
-  }();
-  counters_->stage_compile->Record(SecondsBetween(compile_start, SteadyClock::now()));
-  if (!compiled.ok()) {
-    counters_->jobs_failed_internal.Inc();
-    fail(WireErrorCode::kInternal, WireStage::kCompile, compiled.status().message());
-    return;
-  }
-  live = job->cancel->Check("compile");
-  if (!live.ok()) {
-    fail_cancel(live, WireStage::kCompile);
-    return;
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kWitness), std::memory_order_relaxed);
-  const auto witness_start = SteadyClock::now();
-  const Model& m = (*compiled)->model;
-  Tensor<int64_t> input_q;
-  {
-    obs::Span span("serve.witness");
-    if (!job->request.input.empty()) {
-      if (static_cast<int64_t>(job->request.input.size()) != m.input_shape.NumElements()) {
-        counters_->jobs_rejected_malformed.Inc();
-        fail(WireErrorCode::kInputMismatch, WireStage::kWitness,
-             "input has " + std::to_string(job->request.input.size()) +
-                 " elements, model wants " + std::to_string(m.input_shape.NumElements()));
-        return;
-      }
-      input_q = Tensor<int64_t>(m.input_shape, std::move(job->request.input));
-    } else {
-      input_q = QuantizeTensor(SyntheticInput(m, job->request.seed), m.quant);
-    }
-  }
-  counters_->stage_witness->Record(SecondsBetween(witness_start, SteadyClock::now()));
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kProve), std::memory_order_relaxed);
-  const auto prove_start = SteadyClock::now();
-  StatusOr<ZkmlProof> proof = [&] {
-    obs::Span span("serve.prove");
-    return ProveCancellable(**compiled, input_q, job->cancel.get());
-  }();
-  counters_->stage_prove->Record(SecondsBetween(prove_start, SteadyClock::now()));
-  if (!proof.ok()) {
-    if (proof.status().code() == StatusCode::kCancelled ||
-        proof.status().code() == StatusCode::kDeadlineExceeded) {
-      fail_cancel(proof.status(), WireStage::kProve);
-    } else {
-      counters_->jobs_failed_internal.Inc();
-      fail(WireErrorCode::kInternal, WireStage::kProve, proof.status().message());
-    }
-    return;
-  }
-
-  if (!options_.report_dir.empty()) {
-    WriteJobReport(*job, **compiled, *proof);
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kRespond), std::memory_order_relaxed);
-  const auto finished = SteadyClock::now();
-  job->response.proof = std::move(proof->bytes);
-  job->response.instance = std::move(proof->instance);
-  job->response.output = proof->output_q.ToVector();
-  job->response.queue_micros = queue_micros;
-  job->response.prove_micros = MicrosBetween(started, finished);
-  job->response.cache_hit = cache_hit ? 1 : 0;
-  job->response.shards = 1;
-  job->ok = true;
-  counters_->jobs_completed.Inc();
-  counters_->job_seconds->Record(
-      std::chrono::duration<double>(finished - job->enqueued).count());
-}
-
-void ZkmlServer::ExecuteShardedJob(const std::shared_ptr<Job>& job, const Model& model,
-                                   size_t num_shards, uint64_t queue_micros,
-                                   SteadyClock::time_point started) {
-  auto fail = [&](WireErrorCode code, WireStage stage, std::string message) {
-    job->ok = false;
-    job->error = {code, stage, std::move(message)};
-  };
-  auto fail_cancel = [&](const Status& s, WireStage stage) {
-    if (s.code() == StatusCode::kCancelled) {
-      counters_->jobs_cancelled.Inc();
-      fail(WireErrorCode::kCancelled, stage,
-           job->reaped.load(std::memory_order_relaxed) ? "reaped by watchdog: " + s.message()
-                                                       : s.message());
-    } else {
-      counters_->jobs_deadline_exceeded.Inc();
-      fail(WireErrorCode::kDeadlineExceeded, stage, s.message());
-    }
-  };
-
-  job->shards_total.store(static_cast<uint32_t>(num_shards), std::memory_order_relaxed);
-  job->stage.store(static_cast<uint8_t>(WireStage::kCompile), std::memory_order_relaxed);
-  const auto compile_start = SteadyClock::now();
-
   ZkmlOptions zo;
-  zo.backend = job->request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
+  zo.backend = lead.request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
   zo.optimizer.backend = zo.backend;
   zo.optimizer.min_columns = options_.optimizer_min_columns;
   zo.optimizer.max_columns = options_.optimizer_max_columns;
   zo.optimizer.max_k = options_.optimizer_max_k;
-
-  StatusOr<ModelPartition> partition = PartitionModel(model, num_shards);
-  if (!partition.ok()) {
-    counters_->jobs_failed_internal.Inc();
-    fail(WireErrorCode::kInternal, WireStage::kCompile, partition.status().message());
+  StatusOr<CircuitPlan> plan =
+      PlanCircuit(*model, ModelHashHex(lead.request.model_text), zo, live.size(), inferences,
+                  lead.request.shards, [&lead](size_t done, size_t) {
+                    lead.shards_done.store(static_cast<uint32_t>(done), std::memory_order_relaxed);
+                  });
+  if (!plan.ok()) {
+    fail_live(plan.status(), WireStage::kCompile);
     return;
   }
-
-  // Each shard's circuit is cached independently under a shard-suffixed key,
-  // so repeat sharded jobs (and jobs at the same shard count from other
-  // connections) reuse every per-shard compilation.
-  CompiledShardedModel sharded;
-  sharded.model = model;
-  sharded.backend = zo.backend;
-  sharded.shards.resize(num_shards);
-  const std::string key_base = ModelHashHex(job->request.model_text);
-  const std::string backend_tag = job->request.backend == 1 ? ":ipa" : ":kzg";
+  if (plan->shards > 1) lead.shards_total.store(plan->shards, std::memory_order_relaxed);
   bool cache_hit = true;
+  Circuits circuits;
   {
     obs::Span span("serve.compile");
-    for (size_t i = 0; i < num_shards; ++i) {
-      const std::string key = key_base + ":shard" + std::to_string(i) + "/" +
-                              std::to_string(num_shards) + backend_tag;
+    for (size_t i = 0; i < plan->keys.size() && !live.empty(); ++i) {
       StatusOr<std::shared_ptr<const CompiledModel>> compiled = cache_.GetOrCompile(
-          key, [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
+          plan->keys[i], [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
             cache_hit = false;
-            return std::make_shared<const CompiledModel>(
-                CompileModel(partition->shards[i].model, zo));
+            ZKML_ASSIGN_OR_RETURN(CompiledModel c, plan->compile(i));
+            return std::make_shared<const CompiledModel>(std::move(c));
           });
-      if (!compiled.ok()) {
-        counters_->jobs_failed_internal.Inc();
-        fail(WireErrorCode::kInternal, WireStage::kCompile,
-             "shard " + std::to_string(i) + "/" + std::to_string(num_shards) + ": " +
-                 compiled.status().message());
-        return;
-      }
-      sharded.shards[i] = std::move(*compiled);
-      Status live = job->cancel->Check("compile");
-      if (!live.ok()) {
-        fail_cancel(live, WireStage::kCompile);
-        return;
-      }
-    }
-  }
-  sharded.partition = std::move(*partition);
-  sharded.compile_seconds = SecondsBetween(compile_start, SteadyClock::now());
-  counters_->stage_compile->Record(sharded.compile_seconds);
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kWitness), std::memory_order_relaxed);
-  const auto witness_start = SteadyClock::now();
-  Tensor<int64_t> input_q;
-  {
-    obs::Span span("serve.witness");
-    if (!job->request.input.empty()) {
-      if (static_cast<int64_t>(job->request.input.size()) != model.input_shape.NumElements()) {
-        counters_->jobs_rejected_malformed.Inc();
-        fail(WireErrorCode::kInputMismatch, WireStage::kWitness,
-             "input has " + std::to_string(job->request.input.size()) +
-                 " elements, model wants " + std::to_string(model.input_shape.NumElements()));
-        return;
-      }
-      input_q = Tensor<int64_t>(model.input_shape, std::move(job->request.input));
-    } else {
-      input_q = QuantizeTensor(SyntheticInput(model, job->request.seed), model.quant);
-    }
-  }
-  counters_->stage_witness->Record(SecondsBetween(witness_start, SteadyClock::now()));
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kProve), std::memory_order_relaxed);
-  const auto prove_start = SteadyClock::now();
-  Job* job_raw = job.get();  // the shared_ptr outlives CreateShardedProof
-  StatusOr<ShardedProof> proof = [&] {
-    obs::Span span("serve.prove");
-    return CreateShardedProof(sharded, input_q, job->cancel.get(),
-                              [job_raw](size_t done, size_t) {
-                                job_raw->shards_done.store(static_cast<uint32_t>(done),
-                                                           std::memory_order_relaxed);
-                              });
-  }();
-  const double prove_seconds = SecondsBetween(prove_start, SteadyClock::now());
-  counters_->stage_prove->Record(prove_seconds);
-  // Shard-count-labelled prove series alongside the aggregate, so scaling is
-  // visible per shard count (e.g. serve.stage_seconds.prove.shards4).
-  obs::MetricsRegistry::Global()
-      .histogram("serve.stage_seconds.prove.shards" + std::to_string(num_shards),
-                 kStageSecondsBuckets)
-      .Record(prove_seconds);
-  if (!proof.ok()) {
-    if (proof.status().code() == StatusCode::kCancelled ||
-        proof.status().code() == StatusCode::kDeadlineExceeded) {
-      fail_cancel(proof.status(), WireStage::kProve);
-    } else {
-      counters_->jobs_failed_internal.Inc();
-      fail(WireErrorCode::kInternal, WireStage::kProve, proof.status().message());
-    }
-    return;
-  }
-
-  if (!options_.report_dir.empty()) {
-    // Sharded jobs report the zkml.sharded_proof/v1 document instead of the
-    // single-circuit run report. Report I/O must never fail a proved job.
-    obs::Json doc = ShardedReportJson(sharded, *proof);
-    const std::string path =
-        options_.report_dir + "/job_" + std::to_string(job->id) + ".json";
-    std::ofstream out(path);
-    if (out) out << doc.DumpPretty() << "\n";
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kRespond), std::memory_order_relaxed);
-  const auto finished = SteadyClock::now();
-  job->response.proof = EncodeShardedProof(*proof);
-  job->response.instance = std::move(proof->instance);
-  job->response.output = proof->output_q.ToVector();
-  job->response.queue_micros = queue_micros;
-  job->response.prove_micros = MicrosBetween(started, finished);
-  job->response.cache_hit = cache_hit ? 1 : 0;
-  job->response.shards = static_cast<uint32_t>(num_shards);
-  job->ok = true;
-  counters_->jobs_completed.Inc();
-  counters_->job_seconds->Record(
-      std::chrono::duration<double>(finished - job->enqueued).count());
-}
-
-void ZkmlServer::ExecuteBatchedJob(const std::shared_ptr<Job>& job, const Model& model,
-                                   size_t batch, uint64_t queue_micros,
-                                   SteadyClock::time_point started) {
-  auto fail = [&](WireErrorCode code, WireStage stage, std::string message) {
-    job->ok = false;
-    job->error = {code, stage, std::move(message)};
-  };
-  auto fail_cancel = [&](const Status& s, WireStage stage) {
-    if (s.code() == StatusCode::kCancelled) {
-      counters_->jobs_cancelled.Inc();
-      fail(WireErrorCode::kCancelled, stage,
-           job->reaped.load(std::memory_order_relaxed) ? "reaped by watchdog: " + s.message()
-                                                       : s.message());
-    } else {
-      counters_->jobs_deadline_exceeded.Inc();
-      fail(WireErrorCode::kDeadlineExceeded, stage, s.message());
-    }
-  };
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kCompile), std::memory_order_relaxed);
-  const auto compile_start = SteadyClock::now();
-  // The batched circuit is a different circuit than the single-inference one
-  // (replicated advice regions, N-segment statement), so it caches under a
-  // batch-suffixed key next to the model's other compilations.
-  const std::string key = ModelHashHex(job->request.model_text) + ":batch" +
-                          std::to_string(batch) +
-                          (job->request.backend == 1 ? ":ipa" : ":kzg");
-  bool cache_hit = true;
-  StatusOr<std::shared_ptr<const CompiledModel>> compiled = [&] {
-    obs::Span span("serve.compile");
-    return cache_.GetOrCompile(key, [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
-      cache_hit = false;
-      ZkmlOptions zo;
-      zo.backend = job->request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
-      zo.optimizer.backend = zo.backend;
-      zo.optimizer.min_columns = options_.optimizer_min_columns;
-      zo.optimizer.max_columns = options_.optimizer_max_columns;
-      zo.optimizer.max_k = options_.optimizer_max_k;
-      StatusOr<CompiledBatchedModel> cb = CompileBatched(model, batch, zo);
-      if (!cb.ok()) return cb.status();
-      return std::make_shared<const CompiledModel>(std::move(cb->compiled));
-    });
-  }();
-  counters_->stage_compile->Record(SecondsBetween(compile_start, SteadyClock::now()));
-  if (!compiled.ok()) {
-    counters_->jobs_failed_internal.Inc();
-    fail(WireErrorCode::kInternal, WireStage::kCompile, compiled.status().message());
-    return;
-  }
-  Status live = job->cancel->Check("compile");
-  if (!live.ok()) {
-    fail_cancel(live, WireStage::kCompile);
-    return;
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kWitness), std::memory_order_relaxed);
-  const auto witness_start = SteadyClock::now();
-  const Model& m = (*compiled)->model;
-  const size_t per = static_cast<size_t>(m.input_shape.NumElements());
-  std::vector<Tensor<int64_t>> inputs_q;
-  inputs_q.reserve(batch);
-  {
-    obs::Span span("serve.witness");
-    if (!job->request.input.empty()) {
-      // Explicit input carries batch x per elements, inference-major.
-      if (job->request.input.size() != batch * per) {
-        counters_->jobs_rejected_malformed.Inc();
-        fail(WireErrorCode::kInputMismatch, WireStage::kWitness,
-             "batched input has " + std::to_string(job->request.input.size()) +
-                 " elements, batch " + std::to_string(batch) + " of this model wants " +
-                 std::to_string(batch * per) + " (" + std::to_string(per) +
-                 " per inference)");
-        return;
-      }
-      for (size_t i = 0; i < batch; ++i) {
-        std::vector<int64_t> slice(job->request.input.begin() + static_cast<ptrdiff_t>(i * per),
-                                   job->request.input.begin() +
-                                       static_cast<ptrdiff_t>((i + 1) * per));
-        inputs_q.emplace_back(m.input_shape, std::move(slice));
-      }
-    } else {
-      // Synthetic inputs: one distinct draw per inference, seeded seed + i so
-      // the batch is reproducible but not N copies of one tensor.
-      for (size_t i = 0; i < batch; ++i) {
-        inputs_q.push_back(QuantizeTensor(SyntheticInput(m, job->request.seed + i), m.quant));
-      }
-    }
-  }
-  counters_->stage_witness->Record(SecondsBetween(witness_start, SteadyClock::now()));
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kProve), std::memory_order_relaxed);
-  const auto prove_start = SteadyClock::now();
-  StatusOr<BatchedProof> proof = [&] {
-    obs::Span span("serve.prove");
-    return CreateBatchedProof(**compiled, inputs_q, job->cancel.get());
-  }();
-  const double prove_seconds = SecondsBetween(prove_start, SteadyClock::now());
-  counters_->stage_prove->Record(prove_seconds);
-  // Batch-size-labelled prove series so amortization is visible per N.
-  obs::MetricsRegistry::Global()
-      .histogram("serve.stage_seconds.prove.batch" + std::to_string(batch),
-                 kStageSecondsBuckets)
-      .Record(prove_seconds);
-  if (!proof.ok()) {
-    if (proof.status().code() == StatusCode::kCancelled ||
-        proof.status().code() == StatusCode::kDeadlineExceeded) {
-      fail_cancel(proof.status(), WireStage::kProve);
-    } else {
-      counters_->jobs_failed_internal.Inc();
-      fail(WireErrorCode::kInternal, WireStage::kProve, proof.status().message());
-    }
-    return;
-  }
-
-  if (!options_.report_dir.empty()) {
-    // Batched jobs report the zkml.batched_proof/v1 document. Report I/O must
-    // never fail a proved job.
-    obs::Json doc = BatchedReportJson(**compiled, *proof);
-    const std::string path =
-        options_.report_dir + "/job_" + std::to_string(job->id) + ".json";
-    std::ofstream out(path);
-    if (out) out << doc.DumpPretty() << "\n";
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kRespond), std::memory_order_relaxed);
-  const auto finished = SteadyClock::now();
-  job->response.proof = EncodeBatchedProof(*proof);
-  job->response.instance = std::move(proof->instance);
-  job->response.output.clear();
-  for (const Tensor<int64_t>& out_q : proof->outputs_q) {
-    const std::vector<int64_t> v = out_q.ToVector();
-    job->response.output.insert(job->response.output.end(), v.begin(), v.end());
-  }
-  job->response.queue_micros = queue_micros;
-  job->response.prove_micros = MicrosBetween(started, finished);
-  job->response.cache_hit = cache_hit ? 1 : 0;
-  job->response.shards = 1;
-  job->response.batch = static_cast<uint32_t>(batch);
-  job->ok = true;
-  counters_->jobs_completed.Inc();
-  counters_->job_seconds->Record(
-      std::chrono::duration<double>(finished - job->enqueued).count());
-}
-
-void ZkmlServer::ExecuteCoalescedJobs(const std::vector<std::shared_ptr<Job>>& group) {
-  const auto started = SteadyClock::now();
-  const size_t batch = group.size();
-  const std::shared_ptr<Job>& lead = group.front();
-  auto fail_all = [&](WireErrorCode code, WireStage stage, const std::string& message) {
-    for (const auto& job : group) {
-      job->ok = false;
-      job->error = {code, stage, message};
-    }
-  };
-  auto set_stage = [&](WireStage stage) {
-    for (const auto& job : group) {
-      job->stage.store(static_cast<uint8_t>(stage), std::memory_order_relaxed);
-    }
-  };
-  auto log_jobs = [&](const std::vector<std::shared_ptr<Job>>& jobs) {
-    if (event_log_ == nullptr) return;
-    for (const auto& job : jobs) {
-      obs::Json fields = obs::Json::Object();
-      fields.Set("job_id", job->id);
-      fields.Set("request_id", job->request_id);
-      fields.Set("coalesced", static_cast<uint64_t>(batch));
-      fields.Set("elapsed_s", SecondsBetween(job->enqueued, SteadyClock::now()));
-      if (job->ok) {
-        LogEvent("job_completed", std::move(fields));
+      const Status s = compiled.ok() ? pacer.cancel->Check("compile") : compiled.status();
+      if (s.ok()) {
+        circuits.push_back(std::move(*compiled));
       } else {
-        fields.Set("error", WireErrorCodeName(job->error.code));
-        fields.Set("stage", WireStageName(job->error.stage));
-        LogEvent("job_failed", std::move(fields));
+        fail_live(s, WireStage::kCompile);
       }
     }
-  };
-  auto log_outcome = [&] { log_jobs(group); };
+  }
+  const double compile_seconds = SecondsBetween(compile_start, SteadyClock::now());
+  counters_->stage_compile->Record(compile_seconds);
+  if (live.empty()) return;
 
-  for (const auto& job : group) {
-    counters_->stage_admission->Record(SecondsBetween(job->enqueued, started));
-  }
-
-  set_stage(WireStage::kModelParse);
-  StatusOr<Model> model = DeserializeModel(lead->request.model_text);
-  if (!model.ok()) {
-    counters_->jobs_rejected_malformed.Inc(batch);
-    fail_all(WireErrorCode::kMalformedModel, WireStage::kModelParse, model.status().message());
-    log_outcome();
-    return;
-  }
-  const size_t per = static_cast<size_t>(model->input_shape.NumElements());
-  // A member whose explicit input is malformed is failed alone; the rest of
-  // the group still proves (the batched circuit is compiled for the survivor
-  // count, so nothing is wasted on the reject).
-  std::vector<std::shared_ptr<Job>> good;
-  good.reserve(batch);
-  for (const auto& job : group) {
-    if (!job->request.input.empty() && job->request.input.size() != per) {
-      counters_->jobs_rejected_malformed.Inc();
-      job->ok = false;
-      job->error = {WireErrorCode::kInputMismatch, WireStage::kWitness,
-                    "input has " + std::to_string(job->request.input.size()) +
-                        " elements, model wants " + std::to_string(per)};
-    } else {
-      good.push_back(job);
-    }
-  }
-  if (good.size() < batch) {
-    // Group shrank: log the rejects here, then reprove what survives (a
-    // singleton falls back to the ordinary pipeline, which does its own
-    // logging; smaller groups recurse — terminating because every reject is
-    // final).
-    std::vector<std::shared_ptr<Job>> rejected;
-    for (const auto& job : group) {
-      if (std::find(good.begin(), good.end(), job) == good.end()) rejected.push_back(job);
-    }
-    log_jobs(rejected);
-    if (good.size() == 1) {
-      ExecuteJob(good.front());
-    } else if (good.size() > 1) {
-      ExecuteCoalescedJobs(good);
-    }
-    return;
-  }
-
-  set_stage(WireStage::kCompile);
-  const auto compile_start = SteadyClock::now();
-  const std::string key = ModelHashHex(lead->request.model_text) + ":batch" +
-                          std::to_string(batch) +
-                          (lead->request.backend == 1 ? ":ipa" : ":kzg");
-  bool cache_hit = true;
-  StatusOr<std::shared_ptr<const CompiledModel>> compiled = [&] {
-    obs::Span span("serve.compile");
-    return cache_.GetOrCompile(key, [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
-      cache_hit = false;
-      ZkmlOptions zo;
-      zo.backend = lead->request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
-      zo.optimizer.backend = zo.backend;
-      zo.optimizer.min_columns = options_.optimizer_min_columns;
-      zo.optimizer.max_columns = options_.optimizer_max_columns;
-      zo.optimizer.max_k = options_.optimizer_max_k;
-      StatusOr<CompiledBatchedModel> cb = CompileBatched(*model, batch, zo);
-      if (!cb.ok()) return cb.status();
-      return std::make_shared<const CompiledModel>(std::move(cb->compiled));
-    });
-  }();
-  counters_->stage_compile->Record(SecondsBetween(compile_start, SteadyClock::now()));
-  if (!compiled.ok()) {
-    counters_->jobs_failed_internal.Inc(batch);
-    fail_all(WireErrorCode::kInternal, WireStage::kCompile, compiled.status().message());
-    log_outcome();
-    return;
-  }
-
+  // 5. Inputs: inference i of a member is the i-th slice of its explicit
+  // input (inference-major), or else SyntheticInput(seed + i), so a batch is
+  // reproducible but not N copies of one tensor.
   set_stage(WireStage::kWitness);
-  const Model& m = (*compiled)->model;
-  std::vector<Tensor<int64_t>> inputs_q;
-  inputs_q.reserve(batch);
-  for (const auto& job : group) {
-    if (!job->request.input.empty()) {
-      inputs_q.emplace_back(m.input_shape, job->request.input);
-    } else {
-      inputs_q.push_back(QuantizeTensor(SyntheticInput(m, job->request.seed), m.quant));
+  const auto witness_start = SteadyClock::now();
+  std::vector<Tensor<int64_t>> inputs;
+  {
+    obs::Span span("serve.witness");
+    for (const Job* job : live) {
+      const ProveRequest& r = job->request;
+      for (size_t i = 0; i < InferenceCount(r); ++i) {
+        if (r.input.empty()) {
+          inputs.push_back(QuantizeTensor(SyntheticInput(*model, r.seed + i), model->quant));
+        } else {
+          const auto slice = r.input.begin() + static_cast<ptrdiff_t>(i * per);
+          inputs.emplace_back(model->input_shape,
+                              std::vector<int64_t>(slice, slice + static_cast<ptrdiff_t>(per)));
+        }
+      }
     }
   }
+  counters_->stage_witness->Record(SecondsBetween(witness_start, SteadyClock::now()));
 
-  // The lead job's token drives cancellation: it holds the oldest budget in
-  // the group, so a deadline that fires first fires there.
+  // 6. Prove.
   set_stage(WireStage::kProve);
   const auto prove_start = SteadyClock::now();
-  StatusOr<BatchedProof> proof = [&] {
+  StatusOr<ProvedCircuit> proved = [&] {
     obs::Span span("serve.prove");
-    return CreateBatchedProof(**compiled, inputs_q, lead->cancel.get());
+    return plan->prove(circuits, inputs, pacer.cancel.get(), compile_seconds,
+                       !options_.report_dir.empty());
   }();
   const double prove_seconds = SecondsBetween(prove_start, SteadyClock::now());
   counters_->stage_prove->Record(prove_seconds);
-  obs::MetricsRegistry::Global()
-      .histogram("serve.stage_seconds.prove.batch" + std::to_string(batch),
-                 kStageSecondsBuckets)
-      .Record(prove_seconds);
-  if (!proof.ok()) {
-    if (proof.status().code() == StatusCode::kCancelled) {
-      counters_->jobs_cancelled.Inc(batch);
-      fail_all(WireErrorCode::kCancelled, WireStage::kProve,
-               lead->reaped.load(std::memory_order_relaxed)
-                   ? "reaped by watchdog: " + proof.status().message()
-                   : proof.status().message());
-    } else if (proof.status().code() == StatusCode::kDeadlineExceeded) {
-      counters_->jobs_deadline_exceeded.Inc(batch);
-      fail_all(WireErrorCode::kDeadlineExceeded, WireStage::kProve, proof.status().message());
-    } else {
-      counters_->jobs_failed_internal.Inc(batch);
-      fail_all(WireErrorCode::kInternal, WireStage::kProve, proof.status().message());
-    }
-    log_outcome();
+  // The kind-labelled series next to the aggregate keeps scaling visible
+  // per shard count / batch size (e.g. serve.stage_seconds.prove.shards4).
+  if (!plan->prove_histogram.empty()) {
+    obs::MetricsRegistry::Global()
+        .histogram(plan->prove_histogram, kStageSecondsBuckets)
+        .Record(prove_seconds);
+  }
+  if (!proved.ok()) {
+    fail_live(proved.status(), WireStage::kProve);
     return;
   }
 
+  // 7. One report per group, named after its first live member. Report I/O
+  // must never fail a proved job.
   if (!options_.report_dir.empty()) {
-    obs::Json doc = BatchedReportJson(**compiled, *proof);
-    doc.Set("coalesced", static_cast<uint64_t>(batch));
-    const std::string path =
-        options_.report_dir + "/job_" + std::to_string(lead->id) + ".json";
-    std::ofstream out(path);
-    if (out) out << doc.DumpPretty() << "\n";
+    if (live.size() > 1) proved->report.Set("coalesced", static_cast<uint64_t>(live.size()));
+    std::ofstream out(options_.report_dir + "/job_" + std::to_string(lead.id) + ".json");
+    if (out) out << proved->report.DumpPretty() << "\n";
   }
 
-  // Every member gets the shared artifact and the full concatenated
-  // statement (both are needed to verify), plus its own inference's output.
+  // 8. Fan out: every member gets the shared artifact and the full statement
+  // (both are needed to verify), plus the outputs of its own inferences.
   set_stage(WireStage::kRespond);
   const auto finished = SteadyClock::now();
-  const std::vector<uint8_t> artifact = EncodeBatchedProof(*proof);
-  for (size_t i = 0; i < group.size(); ++i) {
-    const std::shared_ptr<Job>& job = group[i];
-    job->response.proof = artifact;
-    job->response.instance = proof->instance;
-    job->response.output = proof->outputs_q[i].ToVector();
-    job->response.queue_micros = MicrosBetween(job->enqueued, started);
-    job->response.prove_micros = MicrosBetween(started, finished);
-    job->response.cache_hit = cache_hit ? 1 : 0;
-    job->response.shards = 1;
-    job->response.batch = static_cast<uint32_t>(batch);
+  size_t next = 0;
+  for (Job* job : live) {
+    ProveResponse& r = job->response;
+    r.proof = proved->artifact;
+    r.instance = proved->instance;
+    r.output.clear();
+    for (const size_t end = next + InferenceCount(job->request); next < end; ++next) {
+      r.output.insert(r.output.end(), proved->outputs[next].begin(), proved->outputs[next].end());
+    }
+    r.queue_micros = MicrosBetween(job->enqueued, started);
+    r.prove_micros = MicrosBetween(started, finished);
+    r.cache_hit = cache_hit ? 1 : 0;
+    r.shards = plan->shards;
+    r.batch = plan->batch;
     job->ok = true;
-    counters_->job_seconds->Record(
-        std::chrono::duration<double>(finished - job->enqueued).count());
+    counters_->jobs_completed.Inc();
+    counters_->job_seconds->Record(SecondsBetween(job->enqueued, finished));
   }
-  counters_->jobs_completed.Inc(batch);
-  log_outcome();
-}
-
-void ZkmlServer::WriteJobReport(const Job& job, const CompiledModel& compiled,
-                                const ZkmlProof& proof) {
-  obs::RunReport report = BuildRunReport(compiled, proof, 0.0, compiled.model.name);
-  const std::string path = options_.report_dir + "/job_" + std::to_string(job.id) + ".json";
-  // Report I/O must never fail a job that proved successfully.
-  const Status ignored = report.WriteFile(path);
-  (void)ignored;
 }
 
 void ZkmlServer::WatchdogLoop() {

@@ -67,10 +67,13 @@ struct ServeOptions {
 
   // Request coalescing: a worker that dequeues a single-inference job may
   // also claim up to coalesce_max - 1 compatible queued jobs (same model,
-  // same backend, unsharded, wire v3+) and prove them all in ONE batched
-  // circuit; each client gets the shared zkml.batched_proof/v1 artifact plus
-  // its own output. 1 disables (the default — coalescing trades per-job
-  // latency for aggregate throughput, an operator decision).
+  // same backend, unsharded, wire v3+, deadline no earlier than the lead's)
+  // and prove them all in ONE batched circuit under the token of the member
+  // whose deadline comes first; each client gets the shared
+  // zkml.batched_proof/v1 artifact plus its own output. A member that expired
+  // in the queue or sent a bad input fails alone before compile. 1 disables
+  // (the default — coalescing trades per-job latency for aggregate
+  // throughput, an operator decision).
   size_t coalesce_max = 1;
 
   // Optimizer envelope used when compiling models (mirrors the CLI).
@@ -156,25 +159,15 @@ class ZkmlServer {
   void WorkerLoop(int worker_index);
   void WatchdogLoop();
 
-  // Runs one job to completion (the worker body). Fills job->response/error.
-  // ExecuteJob wraps ExecuteJobInner with trace sampling and event emission.
-  void ExecuteJob(const std::shared_ptr<Job>& job);
-  void ExecuteJobInner(const std::shared_ptr<Job>& job);
-  // Sharded-prove pipeline (request.shards > 1 and the model admits cuts):
-  // per-shard compilations flow through the cache under shard-suffixed keys,
-  // and the response carries a zkml.sharded_proof/v1 artifact.
-  void ExecuteShardedJob(const std::shared_ptr<Job>& job, const Model& model,
-                         size_t num_shards, uint64_t queue_micros,
-                         std::chrono::steady_clock::time_point started);
-  // Batched-prove pipeline (request.batch > 1): one circuit proves `batch`
-  // inferences; the compilation is cached under a batch-suffixed key and the
-  // response carries a zkml.batched_proof/v1 artifact.
-  void ExecuteBatchedJob(const std::shared_ptr<Job>& job, const Model& model, size_t batch,
-                         uint64_t queue_micros, std::chrono::steady_clock::time_point started);
-  // Coalesced group (all jobs share one model/backend): proves every job's
-  // inference in one batched circuit and fans the shared artifact back out.
-  // Fills each job's response/error; the caller still owns promise delivery.
-  void ExecuteCoalescedJobs(const std::vector<std::shared_ptr<Job>>& group);
+  // The one job pipeline (the worker body). A lone request — single,
+  // sharded or explicit batch — is a group of one; a coalesced claim is a
+  // group of N single-inference jobs. Fills every member's response/error,
+  // samples a trace keyed on the lead job and logs one terminal event per
+  // member; the caller still owns promise delivery. RunGroup is the
+  // pipeline body: admission checks, one model parse, per-member request
+  // checks, compile through the cache, inputs, prove, report, fan-out.
+  void ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group);
+  void RunGroup(const std::vector<std::shared_ptr<Job>>& group);
 
   // Queue admission; null with *err filled (OVERLOADED / SHUTTING_DOWN) when
   // the job was not accepted.
@@ -190,7 +183,6 @@ class ZkmlServer {
                  uint8_t version = kWireVersion);
 
   void PublishMetrics();
-  void WriteJobReport(const Job& job, const CompiledModel& compiled, const ZkmlProof& proof);
 
   // Ops plane: admin route registration, rate sampling, event emission.
   Status StartAdmin();

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +14,8 @@
 #include "src/layers/quant_executor.h"
 #include "src/model/serialize.h"
 #include "src/model/zoo.h"
+#include "src/obs/json.h"
+#include "src/obs/metrics.h"
 #include "src/serve/client.h"
 #include "src/serve/server.h"
 #include "src/zkml/batched.h"
@@ -541,6 +545,119 @@ TEST(ServeTest, CompatibleQueuedJobsCoalesceIntoOneBatchedProof) {
   EXPECT_TRUE(v.ok()) << v.ToString();
   EXPECT_EQ(server.stats().jobs_completed, 4u);
   server.Stop();
+}
+
+uint64_t AdmissionSamples() {
+  for (const auto& [name, h] : obs::MetricsRegistry::Global().Snapshot().histograms) {
+    if (name == "serve.stage_seconds.admission") return h.count;
+  }
+  return 0;
+}
+
+TEST(ServeTest, CoalescedMembersFailAloneAndSurvivorsShareOneBatchedProof) {
+  const std::string event_log = ::testing::TempDir() + "/serve_coalesce_events.jsonl";
+  ServeOptions options = FastServe();
+  options.num_workers = 1;   // everything funnels through one worker
+  options.coalesce_max = 4;  // the queued jobs below fit one claim
+  options.event_log_path = event_log;
+  ZkmlServer server(options);
+  const uint64_t admissions_before = AdmissionSamples();
+  ASSERT_TRUE(server.Start().ok());
+
+  const Model model = MakeMnistCnn();
+
+  // Occupy the single worker with a cold compile while four jobs queue.
+  StatusOr<ZkmlClient::ProveOutcome> head_result = InternalError("unset");
+  std::thread head([&] {
+    ZkmlClient c = MustConnect(server);
+    ProveRequest req;
+    req.model_text = MnistText();
+    req.seed = 100;
+    head_result = c.Prove(req, 1, kProveWaitMs);
+  });
+  // The group must queue while the head runs, so wait until it is claimed.
+  while (server.stats().running_jobs == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // 0: wrong-size input; 1: a budget that expires in the queue; 2 and 3:
+  // good jobs, one with an explicit input and one with a synthetic seed.
+  const Tensor<int64_t> explicit_input =
+      QuantizeTensor(SyntheticInput(model, 102), model.quant);
+  std::vector<ProveRequest> reqs(4);
+  for (ProveRequest& req : reqs) req.model_text = MnistText();
+  reqs[0].input.assign(7, 1);
+  reqs[1].seed = 101;
+  reqs[1].deadline_ms = 1;
+  reqs[2].input = explicit_input.ToVector();
+  reqs[3].seed = 103;
+  std::vector<StatusOr<ZkmlClient::ProveOutcome>> results(4, InternalError("unset"));
+  std::vector<std::thread> clients;
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    clients.emplace_back([&, i] {
+      ZkmlClient c = MustConnect(server);
+      results[i] = c.Prove(reqs[i], i + 10, kProveWaitMs);
+    });
+  }
+  head.join();
+  for (auto& t : clients) t.join();
+  server.Stop();
+  ASSERT_TRUE(head_result.ok() && head_result->ok);
+  for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  ASSERT_FALSE(results[0]->ok);
+  EXPECT_EQ(results[0]->error.code, WireErrorCode::kInputMismatch);
+  EXPECT_EQ(results[0]->error.stage, WireStage::kWitness);
+  ASSERT_FALSE(results[1]->ok) << "an expired member must not be proved";
+  EXPECT_EQ(results[1]->error.code, WireErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(results[1]->error.stage, WireStage::kAdmission);
+
+  // The two survivors share one batch-2 artifact, each with its own output.
+  const std::vector<std::vector<int64_t>> expected = {
+      RunQuantized(model, explicit_input).ToVector(),
+      RunQuantized(model, QuantizeTensor(SyntheticInput(model, 103), model.quant)).ToVector()};
+  for (size_t i = 0; i < 2; ++i) {
+    const auto& r = results[i + 2];
+    ASSERT_TRUE(r->ok) << r->error.ToString();
+    EXPECT_EQ(r->response.batch, 2u) << "survivor " << i << " was not coalesced";
+    EXPECT_TRUE(LooksLikeBatchedProof(r->response.proof));
+    EXPECT_EQ(r->response.proof, results[2]->response.proof);
+    EXPECT_EQ(r->response.output, expected[i]) << "survivor " << i << " got another output";
+  }
+  ZkmlOptions zo;
+  zo.backend = PcsKind::kKzg;
+  zo.optimizer.min_columns = 10;
+  zo.optimizer.max_columns = 26;
+  zo.optimizer.max_k = 14;
+  const StatusOr<CompiledBatchedModel> compiled = CompileBatched(model, 2, zo);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const VerifyResult v = VerifyBatchedDetailed(*compiled, results[2]->response.instance,
+                                               results[2]->response.proof);
+  EXPECT_TRUE(v.ok()) << v.ToString();
+
+  // Each job was recorded at admission exactly once, and ended in exactly
+  // one terminal event.
+  EXPECT_EQ(AdmissionSamples() - admissions_before, 5u);
+  std::map<uint64_t, int> admitted, terminal;
+  std::ifstream in(event_log);
+  for (std::string line; std::getline(in, line);) {
+    StatusOr<obs::Json> ev = obs::Json::Parse(line);
+    ASSERT_TRUE(ev.ok()) << line;
+    const obs::Json* name = ev->Find("event");
+    const obs::Json* id = ev->Find("job_id");
+    if (name == nullptr || id == nullptr) continue;
+    if (name->AsString() == "job_admitted") {
+      ++admitted[id->AsUint()];
+    } else if (name->AsString().rfind("job_", 0) == 0) {
+      ++terminal[id->AsUint()];
+    }
+  }
+  EXPECT_EQ(admitted.size(), 5u);
+  for (const auto& [id, n] : admitted) {
+    EXPECT_EQ(n, 1) << "job " << id;
+    EXPECT_EQ(terminal[id], 1) << "job " << id << " terminal events";
+  }
+  EXPECT_EQ(terminal.size(), 5u);
 }
 
 }  // namespace
