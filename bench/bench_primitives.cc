@@ -513,7 +513,7 @@ void BM_ProveModel(benchmark::State& state, const char* zoo_name) {
       state.SkipWithError(proof.status().ToString().c_str());
       return;
     }
-    benchmark::DoNotOptimize(proof->ProofBytes());
+    benchmark::DoNotOptimize(proof->artifact);
   }
   state.counters["size"] = static_cast<double>(compiled->num_shards());
   state.counters["threads"] = static_cast<double>(ThreadPool::Global().num_threads());
@@ -551,7 +551,7 @@ void BM_ProveBatched(benchmark::State& state, const char* zoo_name) {
       return;
     }
     s_per_inf = proof->prove_seconds / static_cast<double>(batch);
-    benchmark::DoNotOptimize(proof->ProofBytes());
+    benchmark::DoNotOptimize(proof->artifact);
   }
   state.counters["size"] = static_cast<double>(batch);
   state.counters["s_per_inf"] = s_per_inf;

@@ -62,29 +62,6 @@ PhysicalLayout SimulateLayout(const Model& model, const GadgetSet& gadgets, int 
   return layout;
 }
 
-BuiltCircuit BuildCircuit(const Model& model, const PhysicalLayout& layout,
-                          const Tensor<int64_t>& input_q) {
-  BuilderOptions opts;
-  opts.num_io_columns = layout.num_columns;
-  opts.quant = model.quant;
-  opts.gadgets = layout.gadgets;
-  opts.estimate_only = false;
-  opts.k = layout.k;
-
-  BuiltCircuit built;
-  built.builder = std::make_unique<CircuitBuilder>(opts);
-  const std::vector<ImplChoice>* per_op = layout.per_op.empty() ? nullptr : &layout.per_op;
-  Tensor<Operand> out = LowerModel(*built.builder, model, input_q, per_op);
-  ZKML_CHECK_MSG(built.builder->MinRowsRequired() <= (static_cast<size_t>(1) << layout.k),
-                 "assigned circuit exceeded simulated layout");
-  built.output_q = Tensor<int64_t>(out.shape());
-  for (int64_t i = 0; i < out.NumElements(); ++i) {
-    built.output_q.flat(i) = out.flat(i).q;
-  }
-  built.num_instance_rows = built.builder->NumInstanceRows();
-  return built;
-}
-
 BuiltBatchedCircuit BuildBatchedCircuit(const Model& model, const PhysicalLayout& layout,
                                         const std::vector<Tensor<int64_t>>& inputs_q) {
   ZKML_CHECK_MSG(!inputs_q.empty(), "batched build needs at least one input");

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <functional>
 #include <future>
 #include <optional>
 #include <utility>
@@ -13,8 +12,7 @@
 #include "src/obs/exposition.h"
 #include "src/obs/metrics.h"
 #include "src/tensor/quantizer.h"
-#include "src/zkml/batched.h"
-#include "src/zkml/sharded.h"
+#include "src/zkml/proof_plan.h"
 
 namespace zkml {
 namespace serve {
@@ -789,105 +787,8 @@ void ZkmlServer::WorkerLoop(int worker_index) {
 
 namespace {
 
-using Circuits = std::vector<std::shared_ptr<const CompiledModel>>;
-
 // Inferences one request asks for: its batch, or one.
 size_t InferenceCount(const ProveRequest& r) { return r.batch > 1 ? r.batch : 1; }
-
-// What proving a group produced, in the shape every circuit kind shares.
-struct ProvedCircuit {
-  obs::Json report;  // the per-job report document (null unless asked for)
-  std::vector<uint8_t> artifact;              // response.proof
-  std::vector<Fr> instance;                   // the full statement
-  std::vector<std::vector<int64_t>> outputs;  // one per inference, in order
-};
-
-// How a group is proved: the circuits to compile (one cache key each) and
-// the prove step over them. `shards`/`batch` are the response fields.
-struct CircuitPlan {
-  uint32_t shards = 1;
-  uint32_t batch = 0;
-  std::vector<std::string> keys;
-  std::function<StatusOr<CompiledModel>(size_t circuit)> compile;
-  std::string prove_histogram;  // kind-labelled prove series ("" = none)
-  std::function<StatusOr<ProvedCircuit>(const Circuits&, const std::vector<Tensor<int64_t>>&,
-                                        const CancelToken*, double compile_seconds, bool report)>
-      prove;
-};
-
-// The one place that tells circuit kinds apart. Sharded when a lone job asks
-// for more than one shard and the model can be cut that way (a request for
-// more shards than the graph admits falls back to one circuit and answers
-// shards = 1); batched when the group carries more than one inference in
-// total; single otherwise. Cache keys are `hash:kzg`, `hash:shardI/K:kzg`
-// and `hash:batchN:kzg` (`:ipa` likewise), so an explicit batch of N and a
-// coalesced group of N share one compilation.
-StatusOr<CircuitPlan> PlanCircuit(const Model& model, const std::string& model_hash,
-                                  const ZkmlOptions& zo, size_t jobs, size_t inferences,
-                                  uint32_t requested_shards, ShardProgressFn progress) {
-  const std::string backend = zo.backend == PcsKind::kIpa ? ":ipa" : ":kzg";
-  CircuitPlan plan;
-  const size_t shards =
-      jobs == 1 && requested_shards > 1 ? ResolveShardCount(model, requested_shards) : 1;
-  if (shards > 1) {
-    auto sharded = std::make_shared<CompiledShardedModel>();
-    ZKML_ASSIGN_OR_RETURN(sharded->partition, PartitionModel(model, shards));
-    sharded->model = model;
-    sharded->backend = zo.backend;
-    plan.shards = static_cast<uint32_t>(shards);
-    for (size_t i = 0; i < shards; ++i) {
-      plan.keys.push_back(model_hash + ":shard" + std::to_string(i) + "/" +
-                          std::to_string(shards) + backend);
-    }
-    plan.compile = [sharded, zo](size_t i) -> StatusOr<CompiledModel> {
-      return CompileModel(sharded->partition.shards[i].model, zo);
-    };
-    plan.prove_histogram = "serve.stage_seconds.prove.shards" + std::to_string(shards);
-    plan.prove = [sharded, progress](const Circuits& circuits,
-                                     const std::vector<Tensor<int64_t>>& inputs,
-                                     const CancelToken* cancel, double compile_seconds,
-                                     bool report) -> StatusOr<ProvedCircuit> {
-      sharded->shards = circuits;
-      sharded->compile_seconds = compile_seconds;
-      ZKML_ASSIGN_OR_RETURN(ShardedProof proof,
-                            CreateShardedProof(*sharded, inputs[0], cancel, progress));
-      return ProvedCircuit{report ? ShardedReportJson(*sharded, proof) : obs::Json(),
-                           EncodeShardedProof(proof), std::move(proof.instance),
-                           {proof.output_q.ToVector()}};
-    };
-    return plan;
-  }
-  if (inferences > 1) {
-    plan.batch = static_cast<uint32_t>(inferences);
-    plan.keys = {model_hash + ":batch" + std::to_string(inferences) + backend};
-    plan.compile = [&model, inferences, zo](size_t) -> StatusOr<CompiledModel> {
-      ZKML_ASSIGN_OR_RETURN(CompiledBatchedModel batched, CompileBatched(model, inferences, zo));
-      return std::move(batched.compiled);
-    };
-    plan.prove_histogram = "serve.stage_seconds.prove.batch" + std::to_string(inferences);
-    plan.prove = [](const Circuits& circuits, const std::vector<Tensor<int64_t>>& inputs,
-                    const CancelToken* cancel, double, bool report) -> StatusOr<ProvedCircuit> {
-      ZKML_ASSIGN_OR_RETURN(BatchedProof proof, CreateBatchedProof(*circuits[0], inputs, cancel));
-      ProvedCircuit out{report ? BatchedReportJson(*circuits[0], proof) : obs::Json(),
-                        EncodeBatchedProof(proof), std::move(proof.instance), {}};
-      for (const Tensor<int64_t>& out_q : proof.outputs_q) out.outputs.push_back(out_q.ToVector());
-      return out;
-    };
-    return plan;
-  }
-  plan.keys = {model_hash + backend};
-  plan.compile = [&model, zo](size_t) -> StatusOr<CompiledModel> {
-    return CompileModel(model, zo);
-  };
-  plan.prove = [](const Circuits& circuits, const std::vector<Tensor<int64_t>>& inputs,
-                  const CancelToken* cancel, double, bool report) -> StatusOr<ProvedCircuit> {
-    ZKML_ASSIGN_OR_RETURN(ZkmlProof proof, ProveCancellable(*circuits[0], inputs[0], cancel));
-    return ProvedCircuit{report ? BuildRunReport(*circuits[0], proof).ToJson() : obs::Json(),
-                         std::move(proof.bytes), std::move(proof.instance),
-                         {proof.output_q.ToVector()}};
-  };
-  return plan;
-}
 
 }  // namespace
 
@@ -1000,19 +901,21 @@ void ZkmlServer::RunGroup(const std::vector<std::shared_ptr<Job>>& group) {
     return;
   }
 
-  // 3. Requests, member by member: a member whose request or explicit input
-  // is malformed fails alone, so the group shrinks before anything is
-  // compiled for it.
+  // 3. Requests, member by member (the planner's request check, then the
+  // explicit input size): a bad member fails alone, before any compile.
+  ZkmlOptions zo;
+  zo.backend = live.front()->request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
+  zo.optimizer.min_columns = options_.optimizer_min_columns;
+  zo.optimizer.max_columns = options_.optimizer_max_columns;
+  zo.optimizer.max_k = options_.optimizer_max_k;
   const size_t per = static_cast<size_t>(model->input_shape.NumElements());
   size_t inferences = 0;
   std::vector<Job*> accepted;
   for (Job* job : live) {
     const ProveRequest& r = job->request;
     const size_t n = InferenceCount(r);
-    if (r.batch > 1 && r.shards > 1) {
-      fail(*job, WireErrorCode::kMalformedRequest, WireStage::kModelParse,
-           "request asks for both sharded (" + std::to_string(r.shards) + ") and batched (" +
-               std::to_string(r.batch) + ") proving; pick one");
+    if (Status s = CheckProofRequest(*model, r.shards, n, zo); !s.ok()) {
+      fail(*job, WireErrorCode::kMalformedRequest, WireStage::kModelParse, s.message());
     } else if (!r.input.empty() && r.input.size() != n * per) {
       fail(*job, WireErrorCode::kInputMismatch, WireStage::kWitness,
            "input has " + std::to_string(r.input.size()) + " elements, model wants " +
@@ -1034,34 +937,28 @@ void ZkmlServer::RunGroup(const std::vector<std::shared_ptr<Job>>& group) {
   });
   Job& lead = *live.front();
 
-  // 4. Compile every circuit of the plan through the cache.
+  // 4. Plan (src/zkml decides the kind), then compile each circuit through
+  // the cache under `hash + suffix + backend`.
   set_stage(WireStage::kCompile);
   const auto compile_start = SteadyClock::now();
-  ZkmlOptions zo;
-  zo.backend = lead.request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
-  zo.optimizer.backend = zo.backend;
-  zo.optimizer.min_columns = options_.optimizer_min_columns;
-  zo.optimizer.max_columns = options_.optimizer_max_columns;
-  zo.optimizer.max_k = options_.optimizer_max_k;
-  StatusOr<CircuitPlan> plan =
-      PlanCircuit(*model, ModelHashHex(lead.request.model_text), zo, live.size(), inferences,
-                  lead.request.shards, [&lead](size_t done, size_t) {
-                    lead.shards_done.store(static_cast<uint32_t>(done), std::memory_order_relaxed);
-                  });
+  StatusOr<ProofPlan> plan = PlanProof(*model, lead.request.shards, inferences, zo);
   if (!plan.ok()) {
     fail_live(plan.status(), WireStage::kCompile);
     return;
   }
   if (plan->shards > 1) lead.shards_total.store(plan->shards, std::memory_order_relaxed);
+  const std::string model_hash = ModelHashHex(lead.request.model_text);
+  const std::string backend = zo.backend == PcsKind::kIpa ? ":ipa" : ":kzg";
   bool cache_hit = true;
   Circuits circuits;
   {
     obs::Span span("serve.compile");
-    for (size_t i = 0; i < plan->keys.size() && !live.empty(); ++i) {
+    for (size_t i = 0; i < plan->circuits.size() && !live.empty(); ++i) {
       StatusOr<std::shared_ptr<const CompiledModel>> compiled = cache_.GetOrCompile(
-          plan->keys[i], [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
+          model_hash + plan->circuits[i].key_suffix + backend,
+          [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
             cache_hit = false;
-            ZKML_ASSIGN_OR_RETURN(CompiledModel c, plan->compile(i));
+            ZKML_ASSIGN_OR_RETURN(CompiledModel c, plan->Compile(i));
             return std::make_shared<const CompiledModel>(std::move(c));
           });
       const Status s = compiled.ok() ? pacer.cancel->Check("compile") : compiled.status();
@@ -1102,18 +999,21 @@ void ZkmlServer::RunGroup(const std::vector<std::shared_ptr<Job>>& group) {
   // 6. Prove.
   set_stage(WireStage::kProve);
   const auto prove_start = SteadyClock::now();
-  StatusOr<ProvedCircuit> proved = [&] {
+  StatusOr<PlannedProof> proved = [&] {
     obs::Span span("serve.prove");
-    return plan->prove(circuits, inputs, pacer.cancel.get(), compile_seconds,
-                       !options_.report_dir.empty());
+    return plan->Prove(circuits, inputs, pacer.cancel.get(), compile_seconds,
+                       [&lead](size_t done, size_t) {
+                         lead.shards_done.store(static_cast<uint32_t>(done),
+                                                std::memory_order_relaxed);
+                       });
   }();
   const double prove_seconds = SecondsBetween(prove_start, SteadyClock::now());
   counters_->stage_prove->Record(prove_seconds);
   // The kind-labelled series next to the aggregate keeps scaling visible
   // per shard count / batch size (e.g. serve.stage_seconds.prove.shards4).
-  if (!plan->prove_histogram.empty()) {
+  if (!plan->label.empty()) {
     obs::MetricsRegistry::Global()
-        .histogram(plan->prove_histogram, kStageSecondsBuckets)
+        .histogram("serve.stage_seconds.prove." + plan->label, kStageSecondsBuckets)
         .Record(prove_seconds);
   }
   if (!proved.ok()) {

@@ -1,23 +1,11 @@
 #include "src/zkml/batched.h"
 
-#include "src/base/check.h"
 #include "src/base/timer.h"
 #include "src/compiler/compiler.h"
 #include "src/obs/trace.h"
-#include "src/plonk/proof_io.h"
 #include "src/plonk/prover.h"
 
 namespace zkml {
-namespace {
-
-constexpr uint8_t kBatchedMagic[4] = {'Z', 'K', 'B', 'P'};
-
-Status ClaimStatus(size_t index, size_t count, const Status& status) {
-  return Status(status.code(), "proof " + std::to_string(index) + "/" + std::to_string(count) +
-                                   ": " + status.message());
-}
-
-}  // namespace
 
 StatusOr<CompiledBatchedModel> CompileBatched(const Model& model, size_t batch,
                                               const ZkmlOptions& options) {
@@ -26,44 +14,10 @@ StatusOr<CompiledBatchedModel> CompileBatched(const Model& model, size_t batch,
     return InvalidArgumentError("batched compile: batch size must be at least 1");
   }
   Timer timer;
-  OptimizerOptions opt = options.optimizer;
-  opt.backend = options.backend;
-  opt.batch = batch;
-  OptimizerResult result = OptimizeLayout(model, HardwareProfile::Cached(), opt);
-  if (result.best.layout.k <= 0) {
-    return InvalidArgumentError("batched compile: no feasible layout for batch " +
-                                std::to_string(batch) + " within max_k " +
-                                std::to_string(opt.max_k) +
-                                " (shrink the batch or raise max_k)");
-  }
   CompiledBatchedModel out;
-  out.compiled = CompileModelWithLayout(model, result.best.layout, options);
-  out.compiled.optimizer_seconds = result.optimizer_seconds;
-  out.instance_offsets = BatchInstanceOffsets(out.compiled);
+  ZKML_ASSIGN_OR_RETURN(out.compiled, TryCompileModel(model, options, batch));
   out.compile_seconds = timer.ElapsedSeconds();
   return out;
-}
-
-std::vector<size_t> BatchInstanceOffsets(const CompiledModel& compiled) {
-  const size_t batch = std::max<size_t>(1, compiled.layout.batch);
-  const size_t rows = compiled.pk.vk.num_instance_rows;
-  ZKML_CHECK_MSG(rows % batch == 0, "batched instance rows not divisible by batch");
-  const size_t seg = rows / batch;
-  std::vector<size_t> offsets;
-  offsets.reserve(batch + 1);
-  for (size_t i = 0; i <= batch; ++i) {
-    offsets.push_back(i * seg);
-  }
-  return offsets;
-}
-
-size_t BatchedProof::ProofBytes() const {
-  size_t n = 4 + 4 + 4;  // magic + version + batch count
-  for (const std::vector<Fr>& inst : instances) {
-    n += 4 + inst.size() * kProofFrSize;
-  }
-  n += 4 + bytes.size();
-  return n;
 }
 
 StatusOr<BatchedProof> CreateBatchedProof(const CompiledModel& compiled,
@@ -98,142 +52,31 @@ StatusOr<BatchedProof> CreateBatchedProof(const CompiledModel& compiled,
   const Assignment& asn = built.builder->assignment();
   const std::vector<Fr>& inst = asn.instance()[0];
   out.instance.assign(inst.begin(), inst.begin() + built.num_instance_rows);
-  out.instances.reserve(batch);
+  out.artifact.kind = CompositeKind::kBatched;
   for (size_t i = 0; i < batch; ++i) {
-    out.instances.emplace_back(out.instance.begin() + built.instance_offsets[i],
-                               out.instance.begin() + built.instance_offsets[i + 1]);
+    out.artifact.segments.emplace_back(out.instance.begin() + built.instance_offsets[i],
+                                       out.instance.begin() + built.instance_offsets[i + 1]);
   }
 
   Timer prove_timer;
-  ZKML_ASSIGN_OR_RETURN(out.bytes, CreateProofCancellable(compiled.pk, *compiled.pcs, asn,
-                                                          cancel, &out.prover_metrics));
+  ZKML_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                        CreateProofCancellable(compiled.pk, *compiled.pcs, asn, cancel,
+                                               &out.prover_metrics));
+  out.artifact.proofs.push_back(std::move(bytes));
   out.prove_seconds = prove_timer.ElapsedSeconds();
-  return out;
-}
-
-std::vector<uint8_t> EncodeBatchedProof(const BatchedProof& proof) {
-  std::vector<uint8_t> out;
-  out.reserve(proof.ProofBytes());
-  out.insert(out.end(), kBatchedMagic, kBatchedMagic + 4);
-  ProofAppendU32(&out, kBatchedProofVersion);
-  ProofAppendU32(&out, static_cast<uint32_t>(proof.instances.size()));
-  for (const std::vector<Fr>& inst : proof.instances) {
-    ProofAppendU32(&out, static_cast<uint32_t>(inst.size()));
-    for (const Fr& x : inst) {
-      ProofAppendFr(&out, x);
-    }
-  }
-  ProofAppendU32(&out, static_cast<uint32_t>(proof.bytes.size()));
-  out.insert(out.end(), proof.bytes.begin(), proof.bytes.end());
-  return out;
-}
-
-bool LooksLikeBatchedProof(const std::vector<uint8_t>& bytes) {
-  return bytes.size() >= 4 && bytes[0] == kBatchedMagic[0] && bytes[1] == kBatchedMagic[1] &&
-         bytes[2] == kBatchedMagic[2] && bytes[3] == kBatchedMagic[3];
-}
-
-StatusOr<DecodedBatchedProof> DecodeBatchedProof(const std::vector<uint8_t>& bytes) {
-  if (!LooksLikeBatchedProof(bytes)) {
-    return MalformedProofError("batched artifact: missing ZKBP magic");
-  }
-  size_t offset = 4;
-  uint32_t version = 0;
-  ZKML_RETURN_IF_ERROR(ProofReadU32(bytes, &offset, &version, "batched artifact version"));
-  if (version != kBatchedProofVersion) {
-    return MalformedProofError("batched artifact: unsupported version " +
-                               std::to_string(version));
-  }
-  uint32_t batch = 0;
-  ZKML_RETURN_IF_ERROR(ProofReadU32(bytes, &offset, &batch, "batch count"));
-  // Each inference contributes a length-prefixed segment, so the count is
-  // bounded by the remaining bytes — rejects absurd prefixes pre-allocation.
-  if (batch == 0 || static_cast<size_t>(batch) * 4 > bytes.size() - offset) {
-    return MalformedProofError("batched artifact: implausible batch count " +
-                               std::to_string(batch));
-  }
-  DecodedBatchedProof out;
-  out.instances.resize(batch);
-  for (std::vector<Fr>& inst : out.instances) {
-    uint32_t len = 0;
-    ZKML_RETURN_IF_ERROR(ProofReadU32(bytes, &offset, &len, "instance segment length"));
-    if (static_cast<size_t>(len) * kProofFrSize > bytes.size() - offset) {
-      return MalformedProofError("batched artifact: instance segment length " +
-                                 std::to_string(len) + " exceeds remaining bytes at offset " +
-                                 std::to_string(offset));
-    }
-    inst.resize(len);
-    for (Fr& x : inst) {
-      ZKML_RETURN_IF_ERROR(ProofReadFr(bytes, &offset, &x, "instance segment value"));
-    }
-  }
-  uint32_t proof_len = 0;
-  ZKML_RETURN_IF_ERROR(ProofReadU32(bytes, &offset, &proof_len, "batched proof length"));
-  if (static_cast<size_t>(proof_len) > bytes.size() - offset) {
-    return MalformedProofError("batched artifact: proof length " + std::to_string(proof_len) +
-                               " exceeds remaining bytes at offset " + std::to_string(offset));
-  }
-  out.proof.assign(bytes.begin() + static_cast<ptrdiff_t>(offset),
-                   bytes.begin() + static_cast<ptrdiff_t>(offset + proof_len));
-  offset += proof_len;
-  ZKML_RETURN_IF_ERROR(ProofExpectEnd(bytes, offset));
   return out;
 }
 
 VerifyResult VerifyBatchedDetailed(const CompiledModel& compiled,
                                    const std::vector<Fr>& instance,
                                    const std::vector<uint8_t>& artifact) {
-  obs::Span span("batched-verify");
-  StatusOr<DecodedBatchedProof> decoded = DecodeBatchedProof(artifact);
-  if (!decoded.ok()) {
-    return VerifyResult::Rejected(VerifyStage::kBatchStitch, decoded.status());
-  }
-  const size_t batch = std::max<size_t>(1, compiled.layout.batch);
-  if (decoded->instances.size() != batch) {
-    return VerifyResult::Rejected(
-        VerifyStage::kBatchStitch,
-        InvalidArgumentError("artifact carries " + std::to_string(decoded->instances.size()) +
-                             " inferences, model compiled for batch " + std::to_string(batch)));
-  }
-  if (instance.size() != compiled.pk.vk.num_instance_rows) {
-    return VerifyResult::Rejected(
-        VerifyStage::kInstance,
-        InvalidArgumentError("batched statement has " + std::to_string(instance.size()) +
-                             " values, verifying key expects " +
-                             std::to_string(compiled.pk.vk.num_instance_rows)));
-  }
-  const std::vector<size_t> offsets = BatchInstanceOffsets(compiled);
-  // The statement must be exactly the concatenation of the artifact's
-  // per-inference segments: a disagreement names the inference whose claimed
-  // statement was tampered. (A lie consistent between artifact and statement
-  // still fails below — the transcript binds the instance.)
-  size_t offset = 0;
-  for (size_t i = 0; i < batch; ++i) {
-    const std::vector<Fr>& seg = decoded->instances[i];
-    const size_t expect = offsets[i + 1] - offsets[i];
-    if (seg.size() != expect) {
-      return VerifyResult::Rejected(
-          VerifyStage::kBatchStitch,
-          InvalidArgumentError("inference " + std::to_string(i) + ": artifact segment has " +
-                               std::to_string(seg.size()) + " values, layout fixes " +
-                               std::to_string(expect)));
-    }
-    for (size_t j = 0; j < seg.size(); ++j) {
-      if (!(instance[offset + j] == seg[j])) {
-        return VerifyResult::Rejected(
-            VerifyStage::kBatchStitch,
-            VerifyFailedError("inference " + std::to_string(i) +
-                              ": statement disagrees with the proven instance at element " +
-                              std::to_string(j)));
-      }
-    }
-    offset += seg.size();
-  }
-  return VerifyDetailed(compiled.pk.vk, *compiled.pcs, instance, decoded->proof);
+  // A non-owning handle: `compiled` outlives the call.
+  const std::shared_ptr<const CompiledModel> circuit(std::shared_ptr<void>(), &compiled);
+  return VerifyComposite(CompositeKind::kBatched, {circuit}, instance, artifact);
 }
 
 bool VerifyBatched(const CompiledBatchedModel& compiled, const BatchedProof& proof) {
-  return VerifyBatchedDetailed(compiled, proof.instance, EncodeBatchedProof(proof)).ok();
+  return VerifyBatchedDetailed(compiled, proof.instance, EncodeCompositeProof(proof.artifact)).ok();
 }
 
 obs::Json BatchedReportJson(const CompiledModel& cm, const BatchedProof& proof,
@@ -253,63 +96,14 @@ obs::Json BatchedReportJson(const CompiledModel& cm, const BatchedProof& proof,
   doc.Set("prove_seconds_per_inference",
           proof.prove_seconds / static_cast<double>(batch));
   doc.Set("verify_seconds", verify_seconds);
-  doc.Set("proof_bytes", static_cast<uint64_t>(proof.ProofBytes()));
-  doc.Set("plonk_proof_bytes", static_cast<uint64_t>(proof.bytes.size()));
+  doc.Set("proof_bytes", static_cast<uint64_t>(EncodeCompositeProof(proof.artifact).size()));
+  doc.Set("plonk_proof_bytes", static_cast<uint64_t>(proof.artifact.proofs[0].size()));
   obs::Json segments = obs::Json::Array();
-  for (const std::vector<Fr>& inst : proof.instances) {
+  for (const std::vector<Fr>& inst : proof.artifact.segments) {
     segments.Append(static_cast<uint64_t>(inst.size()));
   }
   doc.Set("instance_elements", std::move(segments));
   return doc;
-}
-
-CrossProofVerdict VerifyProofsBatched(const std::vector<CrossProofClaim>& claims) {
-  obs::Span span("cross-proof-verify");
-  CrossProofVerdict verdict;
-  if (claims.empty()) {
-    verdict.status = InvalidArgumentError("cross-proof verify: no claims");
-    verdict.stage = VerifyStage::kInstance;
-    return verdict;
-  }
-  KzgAccumulator accumulator;
-  std::shared_ptr<const KzgSetup> setup;
-  for (size_t j = 0; j < claims.size(); ++j) {
-    const CrossProofClaim& c = claims[j];
-    if (c.vk == nullptr || c.pcs == nullptr || c.instance == nullptr || c.proof == nullptr) {
-      verdict.status = ClaimStatus(j, claims.size(),
-                                   InvalidArgumentError("cross-proof claim is incomplete"));
-      verdict.stage = VerifyStage::kInstance;
-      verdict.blamed.push_back(j);
-      return verdict;
-    }
-    VerifyResult result;
-    if (const auto* kzg = dynamic_cast<const KzgPcs*>(c.pcs)) {
-      setup = kzg->shared_setup();
-      accumulator.SetTag(j);
-      KzgPcs deferred(setup, &accumulator);
-      result = VerifyDetailed(*c.vk, deferred, *c.instance, *c.proof);
-    } else {
-      result = VerifyDetailed(*c.vk, *c.pcs, *c.instance, *c.proof);
-    }
-    if (!result.ok()) {
-      // Transcript/evaluation failures are inherently per-proof, so blame is
-      // immediate — no aggregate check needed to localize it.
-      verdict.status = ClaimStatus(j, claims.size(), result.status);
-      verdict.stage = result.stage;
-      verdict.blamed.push_back(j);
-      return verdict;
-    }
-  }
-  if (accumulator.size() > 0) {
-    const Status status = accumulator.Check(*setup, &verdict.blamed);
-    if (!status.ok()) {
-      verdict.status = status;
-      verdict.stage = VerifyStage::kBatchAggregate;
-      return verdict;
-    }
-  }
-  verdict.status = Status::Ok();
-  return verdict;
 }
 
 }  // namespace zkml

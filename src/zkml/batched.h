@@ -6,10 +6,9 @@
 // at N=1 the layout — and therefore the proof bytes — is identical to the
 // single-circuit pipeline.
 //
-// This header also hosts cross-proof batch verification: K independent
-// proofs' KZG opening checks folded into one random-linear-combination
-// pairing check (the cross-proof generalization of the per-shard
-// KzgAccumulator), with per-proof blame on rejection.
+// Cross-proof batch verification (VerifyProofsBatched, CrossProofClaim) is
+// declared in src/zkml/proof_plan.h, next to the composite verifier that
+// shares its deferred-KZG loop.
 #ifndef SRC_ZKML_BATCHED_H_
 #define SRC_ZKML_BATCHED_H_
 
@@ -19,23 +18,20 @@
 #include "src/base/cancel.h"
 #include "src/base/status.h"
 #include "src/obs/json.h"
+#include "src/zkml/proof_plan.h"
 #include "src/zkml/zkml.h"
 
 namespace zkml {
 
-// Schema name shared by the binary artifact ("ZKBP" magic) and the JSON
-// report document emitted for telemetry.
+// Schema name shared by the binary artifact ("ZKBP" magic, codec in
+// src/zkml/proof_plan.h) and the JSON report document emitted for telemetry.
 inline constexpr const char* kBatchedProofSchema = "zkml.batched_proof/v1";
-inline constexpr uint32_t kBatchedProofVersion = 1;
 
 // A model compiled for a fixed batch size: one circuit, one key pair, N
 // replicated inference regions. Held by shared_ptr-friendly value semantics
 // so the serving cache can share it across coalesced jobs.
 struct CompiledBatchedModel {
   CompiledModel compiled;  // compiled.layout.batch == batch()
-  // Per-inference instance segment boundaries as half-open row ranges
-  // [instance_offsets[i], instance_offsets[i+1]); size batch() + 1.
-  std::vector<size_t> instance_offsets;
   double compile_seconds = 0;
 
   size_t batch() const { return compiled.layout.batch; }
@@ -47,31 +43,21 @@ struct CompiledBatchedModel {
 StatusOr<CompiledBatchedModel> CompileBatched(const Model& model, size_t batch,
                                               const ZkmlOptions& options = {});
 
-// Per-inference instance segment boundaries recomputed from the compiled
-// layout alone (every inference lowers identically, so the statement splits
-// into layout.batch equal segments). Lets a holder of a bare CompiledModel —
-// e.g. the serving cache — recover what CompiledBatchedModel carries.
-std::vector<size_t> BatchInstanceOffsets(const CompiledModel& compiled);
-
 struct BatchedProof {
-  std::vector<uint8_t> bytes;  // ONE plonk proof covering every inference
-  // Per-inference public statements, each [input ‖ output].
-  std::vector<std::vector<Fr>> instances;
-  // The circuit's statement: concatenation of `instances` in order.
+  // The ZKBP artifact: per-inference public statements, each
+  // [input ‖ output], and ONE plonk proof covering every inference.
+  CompositeProof artifact;
+  // The circuit's statement: concatenation of the segments in order.
   std::vector<Fr> instance;
   std::vector<Tensor<int64_t>> outputs_q;  // one per inference
   double witness_seconds = 0;
   double prove_seconds = 0;
   ProverMetrics prover_metrics;
-
-  size_t ProofBytes() const;  // encoded artifact size
 };
 
 // Proves all `inputs` (size must equal compiled.layout.batch) in one
 // circuit. With batch 1 the proof bytes are bit-identical to
-// ProveCancellable's. The CompiledModel overload is the core (it needs no
-// precomputed offsets — the built circuit reports them); the
-// CompiledBatchedModel overload delegates.
+// ProveCancellable's.
 StatusOr<BatchedProof> CreateBatchedProof(const CompiledModel& compiled,
                                           const std::vector<Tensor<int64_t>>& inputs_q,
                                           const CancelToken* cancel = nullptr);
@@ -81,26 +67,8 @@ inline StatusOr<BatchedProof> CreateBatchedProof(const CompiledBatchedModel& com
   return CreateBatchedProof(compiled.compiled, inputs_q, cancel);
 }
 
-// --- zkml.batched_proof/v1 binary artifact ---
-//   "ZKBP" | u32 version | u32 batch | batch x (u32 len, len Fr)
-//          | u32 proof_len | proof bytes
-std::vector<uint8_t> EncodeBatchedProof(const BatchedProof& proof);
-// True when `bytes` starts with the batched-artifact magic (format sniffing
-// for readers that accept single proofs, sharded, and batched artifacts).
-bool LooksLikeBatchedProof(const std::vector<uint8_t>& bytes);
-
-struct DecodedBatchedProof {
-  std::vector<std::vector<Fr>> instances;
-  std::vector<uint8_t> proof;
-};
-StatusOr<DecodedBatchedProof> DecodeBatchedProof(const std::vector<uint8_t>& bytes);
-
-// Verifies a batched artifact against the full concatenated statement. The
-// artifact's per-inference segments must reproduce the statement exactly —
-// a disagreement is rejected at kBatchStitch naming the inference whose
-// segment was tampered — and the single proof is then verified against the
-// concatenation (which the transcript binds, so a consistent lie in both the
-// statement and the artifact still dies in the plonk verifier).
+// VerifyComposite over the one circuit: the statement is the concatenated
+// per-inference segments, and a tampered one is blamed as "inference i".
 VerifyResult VerifyBatchedDetailed(const CompiledModel& compiled,
                                    const std::vector<Fr>& instance,
                                    const std::vector<uint8_t>& artifact);
@@ -119,34 +87,6 @@ inline obs::Json BatchedReportJson(const CompiledBatchedModel& compiled,
                                    const BatchedProof& proof, double verify_seconds = 0.0) {
   return BatchedReportJson(compiled.compiled, proof, compiled.compile_seconds, verify_seconds);
 }
-
-// --- Cross-proof RLC verification ---
-
-// One of K independent (vk, statement, proof) claims to verify together.
-// Pointers are borrowed; they must outlive the VerifyProofsBatched call.
-struct CrossProofClaim {
-  const VerifyingKey* vk = nullptr;
-  const Pcs* pcs = nullptr;
-  const std::vector<Fr>* instance = nullptr;
-  const std::vector<uint8_t>* proof = nullptr;
-};
-
-struct CrossProofVerdict {
-  Status status;               // Ok iff every claim verified
-  VerifyStage stage = VerifyStage::kAccepted;
-  std::vector<size_t> blamed;  // indices of the claims blamed on rejection
-
-  bool ok() const { return status.ok(); }
-};
-
-// Verifies K independent proofs, folding every KZG claim's final opening
-// check into ONE RLC pairing check (KzgAccumulator with per-proof tags);
-// non-KZG backends verify inline. On rejection the verdict blames the
-// specific proof(s): transcript/evaluation failures are caught per proof,
-// and an aggregate pairing failure re-checks each deferred claim to name
-// the forged one. All KZG claims must come from setups sharing a trapdoor
-// seed (true for every setup this repo creates with the same seed).
-CrossProofVerdict VerifyProofsBatched(const std::vector<CrossProofClaim>& claims);
 
 }  // namespace zkml
 

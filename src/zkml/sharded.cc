@@ -4,17 +4,13 @@
 #include <optional>
 #include <thread>
 
-#include "src/base/check.h"
 #include "src/base/thread_pool.h"
 #include "src/base/timer.h"
 #include "src/layers/quant_executor.h"
 #include "src/obs/trace.h"
-#include "src/plonk/proof_io.h"
 
 namespace zkml {
 namespace {
-
-constexpr uint8_t kShardedMagic[4] = {'Z', 'K', 'S', 'H'};
 
 // The instance encoding the circuit builder uses: one field element per
 // activation value, inputs first.
@@ -43,41 +39,6 @@ size_t ResolveShardCount(const Model& model, size_t requested) {
   return std::max<size_t>(1, std::min(want, max_shards));
 }
 
-StatusOr<CompiledShardedModel> CompileSharded(const Model& model, size_t num_shards,
-                                              const ZkmlOptions& options) {
-  obs::Span span("sharded-compile");
-  Timer timer;
-  const size_t k = ResolveShardCount(model, num_shards);
-  ZKML_ASSIGN_OR_RETURN(ModelPartition partition, PartitionModel(model, k));
-  CompiledShardedModel out;
-  out.model = model;
-  out.backend = options.backend;
-  out.shards.resize(k);
-  // Per-shard optimizer + keygen are independent; compile them concurrently.
-  TaskGroup group;
-  for (size_t i = 0; i < k; ++i) {
-    group.Submit([&, i] {
-      out.shards[i] =
-          std::make_shared<const CompiledModel>(CompileModel(partition.shards[i].model, options));
-    });
-  }
-  group.Wait();
-  out.partition = std::move(partition);
-  out.compile_seconds = timer.ElapsedSeconds();
-  return out;
-}
-
-size_t ShardedProof::ProofBytes() const {
-  size_t n = 4 + 4 + 4;  // magic + version + shard count
-  for (const std::vector<Fr>& b : boundaries) {
-    n += 4 + b.size() * kProofFrSize;
-  }
-  for (const std::vector<uint8_t>& p : shard_proofs) {
-    n += 4 + p.size();
-  }
-  return n;
-}
-
 StatusOr<ShardedProof> CreateShardedProof(const CompiledShardedModel& compiled,
                                           const Tensor<int64_t>& input_q,
                                           const CancelToken* cancel,
@@ -104,19 +65,17 @@ StatusOr<ShardedProof> CreateShardedProof(const CompiledShardedModel& compiled,
   std::vector<Tensor<int64_t>> boundary_q;
   boundary_q.reserve(k + 1);
   boundary_q.push_back(input_q);
-  for (size_t i = 0; i + 1 < k; ++i) {
+  for (size_t i = 0; i < k; ++i) {
     boundary_q.push_back(RunQuantized(compiled.shards[i]->model, boundary_q.back()));
   }
-  boundary_q.push_back(RunQuantized(compiled.shards[k - 1]->model, boundary_q.back()));
   out.witness_seconds = witness_timer.ElapsedSeconds();
   out.output_q = boundary_q.back();
-  out.boundaries.reserve(k + 1);
+  std::vector<std::vector<Fr>>& boundaries = out.artifact.segments;
   for (const Tensor<int64_t>& b : boundary_q) {
-    out.boundaries.push_back(BoundaryToFr(b));
+    boundaries.push_back(BoundaryToFr(b));
   }
-  out.instance = out.boundaries.front();
-  out.instance.insert(out.instance.end(), out.boundaries.back().begin(),
-                      out.boundaries.back().end());
+  out.instance = boundaries.front();
+  out.instance.insert(out.instance.end(), boundaries.back().begin(), boundaries.back().end());
 
   Timer prove_timer;
   std::vector<std::optional<StatusOr<ZkmlProof>>> results(k);
@@ -134,7 +93,7 @@ StatusOr<ShardedProof> CreateShardedProof(const CompiledShardedModel& compiled,
   group.Wait();
   out.prove_seconds = prove_timer.ElapsedSeconds();
 
-  out.shard_proofs.resize(k);
+  out.artifact.proofs.resize(k);
   out.shard_prove_seconds.resize(k);
   for (size_t i = 0; i < k; ++i) {
     StatusOr<ZkmlProof>& r = *results[i];
@@ -144,169 +103,23 @@ StatusOr<ShardedProof> CreateShardedProof(const CompiledShardedModel& compiled,
     // The executor chain and the in-circuit witness must agree on every
     // boundary; a divergence here is a bug, not bad input, but surfacing it
     // as a Status keeps the daemon alive.
-    const std::vector<Fr>& expect_in = out.boundaries[i];
-    const std::vector<Fr>& expect_out = out.boundaries[i + 1];
-    const std::vector<Fr>& inst = r->instance;
-    bool stitched = inst.size() == expect_in.size() + expect_out.size();
-    for (size_t j = 0; stitched && j < inst.size(); ++j) {
-      const Fr& want =
-          j < expect_in.size() ? expect_in[j] : expect_out[j - expect_in.size()];
-      stitched = inst[j] == want;
-    }
-    if (!stitched) {
+    std::vector<Fr> stitched = boundaries[i];
+    stitched.insert(stitched.end(), boundaries[i + 1].begin(), boundaries[i + 1].end());
+    if (r->instance != stitched) {
       return ShardStatus(i, k,
                          InternalError("shard witness disagrees with the boundary "
                                        "activation chain (executor/circuit divergence)"));
     }
-    out.shard_proofs[i] = std::move(r->bytes);
+    out.artifact.proofs[i] = std::move(r->bytes);
     out.shard_prove_seconds[i] = r->prove_seconds;
   }
-  return out;
-}
-
-std::vector<uint8_t> EncodeShardedProof(const ShardedProof& proof) {
-  std::vector<uint8_t> out;
-  out.reserve(proof.ProofBytes());
-  out.insert(out.end(), kShardedMagic, kShardedMagic + 4);
-  ProofAppendU32(&out, kShardedProofVersion);
-  ProofAppendU32(&out, static_cast<uint32_t>(proof.shard_proofs.size()));
-  for (const std::vector<Fr>& b : proof.boundaries) {
-    ProofAppendU32(&out, static_cast<uint32_t>(b.size()));
-    for (const Fr& x : b) {
-      ProofAppendFr(&out, x);
-    }
-  }
-  for (const std::vector<uint8_t>& p : proof.shard_proofs) {
-    ProofAppendU32(&out, static_cast<uint32_t>(p.size()));
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  return out;
-}
-
-bool LooksLikeShardedProof(const std::vector<uint8_t>& bytes) {
-  return bytes.size() >= 4 && bytes[0] == kShardedMagic[0] && bytes[1] == kShardedMagic[1] &&
-         bytes[2] == kShardedMagic[2] && bytes[3] == kShardedMagic[3];
-}
-
-StatusOr<DecodedShardedProof> DecodeShardedProof(const std::vector<uint8_t>& bytes) {
-  if (!LooksLikeShardedProof(bytes)) {
-    return MalformedProofError("sharded artifact: missing ZKSH magic");
-  }
-  size_t offset = 4;
-  uint32_t version = 0;
-  ZKML_RETURN_IF_ERROR(ProofReadU32(bytes, &offset, &version, "sharded artifact version"));
-  if (version != kShardedProofVersion) {
-    return MalformedProofError("sharded artifact: unsupported version " +
-                               std::to_string(version));
-  }
-  uint32_t num_shards = 0;
-  ZKML_RETURN_IF_ERROR(ProofReadU32(bytes, &offset, &num_shards, "shard count"));
-  // Every shard contributes a length-prefixed proof and boundary, so the
-  // count is bounded by the remaining bytes — rejects absurd prefixes before
-  // any allocation.
-  if (num_shards == 0 || static_cast<size_t>(num_shards) * 8 > bytes.size() - offset) {
-    return MalformedProofError("sharded artifact: implausible shard count " +
-                               std::to_string(num_shards));
-  }
-  DecodedShardedProof out;
-  out.boundaries.resize(num_shards + 1);
-  for (std::vector<Fr>& b : out.boundaries) {
-    uint32_t len = 0;
-    ZKML_RETURN_IF_ERROR(ProofReadU32(bytes, &offset, &len, "boundary length"));
-    if (static_cast<size_t>(len) * kProofFrSize > bytes.size() - offset) {
-      return MalformedProofError("sharded artifact: boundary length " + std::to_string(len) +
-                                 " exceeds remaining bytes at offset " + std::to_string(offset));
-    }
-    b.resize(len);
-    for (Fr& x : b) {
-      ZKML_RETURN_IF_ERROR(ProofReadFr(bytes, &offset, &x, "boundary activation"));
-    }
-  }
-  out.shard_proofs.resize(num_shards);
-  for (std::vector<uint8_t>& p : out.shard_proofs) {
-    uint32_t len = 0;
-    ZKML_RETURN_IF_ERROR(ProofReadU32(bytes, &offset, &len, "shard proof length"));
-    if (static_cast<size_t>(len) > bytes.size() - offset) {
-      return MalformedProofError("sharded artifact: shard proof length " + std::to_string(len) +
-                                 " exceeds remaining bytes at offset " + std::to_string(offset));
-    }
-    p.assign(bytes.begin() + static_cast<ptrdiff_t>(offset),
-             bytes.begin() + static_cast<ptrdiff_t>(offset + len));
-    offset += len;
-  }
-  ZKML_RETURN_IF_ERROR(ProofExpectEnd(bytes, offset));
   return out;
 }
 
 VerifyResult VerifySharded(const CompiledShardedModel& compiled,
                            const std::vector<Fr>& instance,
                            const std::vector<uint8_t>& artifact) {
-  obs::Span span("sharded-verify");
-  StatusOr<DecodedShardedProof> decoded = DecodeShardedProof(artifact);
-  if (!decoded.ok()) {
-    return VerifyResult::Rejected(VerifyStage::kShardStitch, decoded.status());
-  }
-  const size_t k = compiled.num_shards();
-  if (decoded->shard_proofs.size() != k) {
-    return VerifyResult::Rejected(
-        VerifyStage::kShardStitch,
-        InvalidArgumentError("artifact carries " + std::to_string(decoded->shard_proofs.size()) +
-                             " shards, model compiled into " + std::to_string(k)));
-  }
-
-  // The composite statement is [input ‖ output]; the artifact's outer
-  // boundaries must be exactly those values, else the shard chain proves a
-  // different statement than the one being claimed.
-  const std::vector<Fr>& b_in = decoded->boundaries.front();
-  const std::vector<Fr>& b_out = decoded->boundaries.back();
-  if (instance.size() != b_in.size() + b_out.size()) {
-    return VerifyResult::Rejected(
-        VerifyStage::kInstance,
-        InvalidArgumentError("composite instance has " + std::to_string(instance.size()) +
-                             " values, artifact boundaries need " +
-                             std::to_string(b_in.size() + b_out.size())));
-  }
-  for (size_t j = 0; j < instance.size(); ++j) {
-    const Fr& want = j < b_in.size() ? b_in[j] : b_out[j - b_in.size()];
-    if (!(instance[j] == want)) {
-      return VerifyResult::Rejected(
-          VerifyStage::kShardStitch,
-          VerifyFailedError("artifact " +
-                            std::string(j < b_in.size() ? "input" : "output") +
-                            " boundary disagrees with the public statement at element " +
-                            std::to_string(j)));
-    }
-  }
-
-  // Per-shard verification against the stitched instances. KZG shards defer
-  // their final pairing checks into one accumulator; IPA verifies inline.
-  KzgAccumulator accumulator;
-  std::shared_ptr<const KzgSetup> setup;
-  for (size_t i = 0; i < k; ++i) {
-    const CompiledModel& shard = *compiled.shards[i];
-    std::vector<Fr> stitched = decoded->boundaries[i];
-    stitched.insert(stitched.end(), decoded->boundaries[i + 1].begin(),
-                    decoded->boundaries[i + 1].end());
-    VerifyResult result;
-    if (const auto* kzg = dynamic_cast<const KzgPcs*>(shard.pcs.get())) {
-      setup = kzg->shared_setup();
-      accumulator.SetTag(i);
-      KzgPcs deferred(setup, &accumulator);
-      result = VerifyDetailed(shard.pk.vk, deferred, stitched, decoded->shard_proofs[i]);
-    } else {
-      result = VerifyDetailed(shard.pk.vk, *shard.pcs, stitched, decoded->shard_proofs[i]);
-    }
-    if (!result.ok()) {
-      return VerifyResult::Rejected(result.stage, ShardStatus(i, k, result.status));
-    }
-  }
-  if (accumulator.size() > 0) {
-    const Status status = accumulator.Check(*setup);
-    if (!status.ok()) {
-      return VerifyResult::Rejected(VerifyStage::kShardAggregate, status);
-    }
-  }
-  return VerifyResult::Accepted();
+  return VerifyComposite(CompositeKind::kSharded, compiled.shards, instance, artifact);
 }
 
 obs::Json ShardedReportJson(const CompiledShardedModel& compiled, const ShardedProof& proof,
@@ -314,7 +127,8 @@ obs::Json ShardedReportJson(const CompiledShardedModel& compiled, const ShardedP
   obs::Json doc = obs::Json::Object();
   doc.Set("schema", kShardedProofSchema);
   doc.Set("model", compiled.model.name);
-  doc.Set("backend", compiled.backend == PcsKind::kKzg ? "kzg" : "ipa");
+  const bool kzg = dynamic_cast<const KzgPcs*>(compiled.shards.front()->pcs.get()) != nullptr;
+  doc.Set("backend", kzg ? "kzg" : "ipa");
   doc.Set("num_shards", static_cast<uint64_t>(compiled.num_shards()));
   doc.Set("compile_seconds", compiled.compile_seconds);
   doc.Set("witness_seconds", proof.witness_seconds);
@@ -327,9 +141,9 @@ obs::Json ShardedReportJson(const CompiledShardedModel& compiled, const ShardedP
   doc.Set("prove_cpu_seconds", sum);
   doc.Set("max_shard_prove_seconds", max);
   doc.Set("verify_seconds", verify_seconds);
-  doc.Set("proof_bytes", static_cast<uint64_t>(proof.ProofBytes()));
+  doc.Set("proof_bytes", static_cast<uint64_t>(EncodeCompositeProof(proof.artifact).size()));
   obs::Json boundaries = obs::Json::Array();
-  for (const std::vector<Fr>& b : proof.boundaries) {
+  for (const std::vector<Fr>& b : proof.artifact.segments) {
     boundaries.Append(static_cast<uint64_t>(b.size()));
   }
   doc.Set("boundary_elements", std::move(boundaries));
@@ -347,8 +161,8 @@ obs::Json ShardedReportJson(const CompiledShardedModel& compiled, const ShardedP
     if (i < proof.shard_prove_seconds.size()) {
       s.Set("prove_seconds", proof.shard_prove_seconds[i]);
     }
-    if (i < proof.shard_proofs.size()) {
-      s.Set("proof_bytes", static_cast<uint64_t>(proof.shard_proofs[i].size()));
+    if (i < proof.artifact.proofs.size()) {
+      s.Set("proof_bytes", static_cast<uint64_t>(proof.artifact.proofs[i].size()));
     }
     shards.Append(std::move(s));
   }

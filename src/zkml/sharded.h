@@ -10,7 +10,6 @@
 #ifndef SRC_ZKML_SHARDED_H_
 #define SRC_ZKML_SHARDED_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -18,14 +17,14 @@
 #include "src/base/status.h"
 #include "src/compiler/partition.h"
 #include "src/obs/json.h"
+#include "src/zkml/proof_plan.h"
 #include "src/zkml/zkml.h"
 
 namespace zkml {
 
-// Schema name shared by the binary artifact ("ZKSH" magic) and the JSON
-// report document emitted for telemetry.
+// Schema name shared by the binary artifact ("ZKSH" magic, codec in
+// src/zkml/proof_plan.h) and the JSON report document emitted for telemetry.
 inline constexpr const char* kShardedProofSchema = "zkml.sharded_proof/v1";
-inline constexpr uint32_t kShardedProofVersion = 1;
 
 // A partitioned model with every shard compiled (layout + keys). Shards are
 // held by shared_ptr so a serving cache can share per-shard compilations
@@ -33,8 +32,7 @@ inline constexpr uint32_t kShardedProofVersion = 1;
 struct CompiledShardedModel {
   Model model;  // the parent model
   ModelPartition partition;
-  std::vector<std::shared_ptr<const CompiledModel>> shards;
-  PcsKind backend = PcsKind::kKzg;
+  Circuits shards;
   double compile_seconds = 0;
 
   size_t num_shards() const { return shards.size(); }
@@ -45,27 +43,23 @@ struct CompiledShardedModel {
 size_t ResolveShardCount(const Model& model, size_t requested);
 
 // Partitions the model (cost-model balanced cuts) and compiles every shard
-// concurrently. `num_shards` is resolved via ResolveShardCount.
+// concurrently, through the planner's sharded plan. `num_shards` is resolved
+// via ResolveShardCount, so a model that cannot be cut yields one shard
+// (PlanProof answers such a request with a single circuit instead).
 StatusOr<CompiledShardedModel> CompileSharded(const Model& model, size_t num_shards,
                                               const ZkmlOptions& options = {});
 
 struct ShardedProof {
-  // k+1 boundary activations as field elements: [0] is the model input,
-  // [k] the model output, interior entries the stitched activations.
-  std::vector<std::vector<Fr>> boundaries;
-  std::vector<std::vector<uint8_t>> shard_proofs;
-  // Composite public statement: boundaries.front() ‖ boundaries.back().
+  // The ZKSH artifact: k+1 boundary activations as field elements (segment 0
+  // the model input, segment k its output) and the k shard proofs.
+  CompositeProof artifact;
+  // Composite public statement: segment 0 ‖ segment k.
   std::vector<Fr> instance;
   Tensor<int64_t> output_q;
   double witness_seconds = 0;  // boundary-activation chain (sequential, cheap)
   double prove_seconds = 0;    // wall clock of the parallel prove phase
   std::vector<double> shard_prove_seconds;
-
-  size_t ProofBytes() const;
 };
-
-// Invoked (possibly from pool threads) each time a shard's proof completes.
-using ShardProgressFn = std::function<void(size_t shards_done, size_t shards_total)>;
 
 // Chains the quantized executor through the shards to fix every boundary
 // activation, then proves all shards concurrently on the global ThreadPool.
@@ -74,26 +68,8 @@ StatusOr<ShardedProof> CreateShardedProof(const CompiledShardedModel& compiled,
                                           const CancelToken* cancel = nullptr,
                                           const ShardProgressFn& progress = nullptr);
 
-// --- zkml.sharded_proof/v1 binary artifact ---
-//   "ZKSH" | u32 version | u32 k | (k+1) x (u32 len, len Fr) | k x (u32 len, bytes)
-std::vector<uint8_t> EncodeShardedProof(const ShardedProof& proof);
-// True when `bytes` starts with the sharded-artifact magic (format sniffing
-// for readers that accept both single proofs and sharded artifacts).
-bool LooksLikeShardedProof(const std::vector<uint8_t>& bytes);
-
-struct DecodedShardedProof {
-  std::vector<std::vector<Fr>> boundaries;
-  std::vector<std::vector<uint8_t>> shard_proofs;
-};
-StatusOr<DecodedShardedProof> DecodeShardedProof(const std::vector<uint8_t>& bytes);
-
-// Verifies a sharded artifact against the composite statement (input values
-// then output values, exactly as the single-circuit verifier sees them).
-// Checks the artifact's outer boundaries against the statement, verifies each
-// shard against its stitched [b_i ‖ b_{i+1}] instance, and — under KZG —
-// defers every shard's opening into one aggregate RLC pairing check.
-// Rejections are stage-attributed; shard-local failures carry a "shard i:"
-// message prefix.
+// VerifyComposite over the shards: the statement is input values then output
+// values, exactly as the single-circuit verifier sees them.
 VerifyResult VerifySharded(const CompiledShardedModel& compiled,
                            const std::vector<Fr>& instance,
                            const std::vector<uint8_t>& artifact);

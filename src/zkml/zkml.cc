@@ -36,40 +36,41 @@ CompiledModel CompileModelWithLayout(const Model& model, const PhysicalLayout& l
   Timer keygen_timer;
   // Keygen runs on the zero-input circuit: fixed columns and copy constraints
   // are input-independent (the graph has no data-dependent control flow).
-  // Batched layouts (layout.batch > 1) replicate the zero inference so the
-  // keys cover every inference's advice region.
-  Tensor<int64_t> zero(model.input_shape);
-  size_t num_instance_rows = 0;
-  std::unique_ptr<CircuitBuilder> builder;
-  {
+  // Batched layouts replicate the zero inference so the keys cover every
+  // inference's advice region.
+  const std::vector<Tensor<int64_t>> zeros(layout.batch, Tensor<int64_t>(model.input_shape));
+  const BuiltBatchedCircuit built = [&] {
     obs::Span build_span("compile-build-circuit");
-    if (layout.batch > 1) {
-      std::vector<Tensor<int64_t>> zeros(layout.batch, zero);
-      BuiltBatchedCircuit built = BuildBatchedCircuit(model, layout, zeros);
-      builder = std::move(built.builder);
-      num_instance_rows = built.num_instance_rows;
-    } else {
-      BuiltCircuit built = BuildCircuit(model, layout, zero);
-      builder = std::move(built.builder);
-      num_instance_rows = built.num_instance_rows;
-    }
-  }
-  compiled.pk = Keygen(builder->cs(), builder->assignment(), *compiled.pcs, layout.k);
+    return BuildBatchedCircuit(model, layout, zeros);
+  }();
+  compiled.pk = Keygen(built.builder->cs(), built.builder->assignment(), *compiled.pcs, layout.k);
   // The instance layout is input-independent, so the zero-input build fixes
   // the statement length the verifier must insist on.
-  compiled.pk.vk.num_instance_rows = num_instance_rows;
+  compiled.pk.vk.num_instance_rows = built.num_instance_rows;
   compiled.keygen_seconds = keygen_timer.ElapsedSeconds();
   return compiled;
 }
 
-CompiledModel CompileModel(const Model& model, const ZkmlOptions& options) {
+StatusOr<CompiledModel> TryCompileModel(const Model& model, const ZkmlOptions& options,
+                                        size_t batch) {
   OptimizerOptions opt = options.optimizer;
   opt.backend = options.backend;
+  opt.batch = batch;
   OptimizerResult result = OptimizeLayout(model, HardwareProfile::Cached(), opt);
-  ZKML_CHECK_MSG(result.best.layout.k > 0, "optimizer found no feasible layout");
+  if (result.best.layout.k <= 0) {
+    return InvalidArgumentError("no feasible layout for batch " + std::to_string(batch) +
+                                " within max_k " + std::to_string(opt.max_k) +
+                                " (shrink the batch or raise max_k)");
+  }
   CompiledModel compiled = CompileModelWithLayout(model, result.best.layout, options);
   compiled.optimizer_seconds = result.optimizer_seconds;
   return compiled;
+}
+
+CompiledModel CompileModel(const Model& model, const ZkmlOptions& options) {
+  StatusOr<CompiledModel> compiled = TryCompileModel(model, options);
+  ZKML_CHECK_MSG(compiled.ok(), compiled.status().ToString().c_str());
+  return std::move(compiled).value();
 }
 
 StatusOr<ZkmlProof> ProveCancellable(const CompiledModel& compiled,
@@ -83,12 +84,12 @@ StatusOr<ZkmlProof> ProveCancellable(const CompiledModel& compiled,
   }
   ZKML_RETURN_IF_ERROR(CheckCancel(cancel, "witness-gen"));
   Timer witness_timer;
-  BuiltCircuit built = [&] {
+  BuiltBatchedCircuit built = [&] {
     obs::Span witness_span("witness-gen");
-    return BuildCircuit(compiled.model, compiled.layout, input_q);
+    return BuildBatchedCircuit(compiled.model, compiled.layout, {input_q});
   }();
   out.witness_seconds = witness_timer.ElapsedSeconds();
-  out.output_q = built.output_q;
+  out.output_q = std::move(built.outputs_q[0]);
 
   const Assignment& asn = built.builder->assignment();
   const std::vector<Fr>& inst = asn.instance()[0];
@@ -177,7 +178,7 @@ SoundnessAudit RunSoundnessAudit(const Model& model, const Tensor<int64_t>& inpu
   kzg_options.backend = PcsKind::kKzg;
   CompiledModel kzg = CompileModel(model, kzg_options);
 
-  BuiltCircuit built = BuildCircuit(model, kzg.layout, input_q);
+  BuiltBatchedCircuit built = BuildBatchedCircuit(model, kzg.layout, {input_q});
   const ConstraintSystem& cs = built.builder->cs();
   const Assignment& asn = built.builder->assignment();
 

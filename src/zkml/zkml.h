@@ -46,7 +46,11 @@ struct CompiledModel {
   double keygen_seconds = 0;
 };
 
-// Runs the optimizer, builds the circuit, and generates keys.
+// Runs the optimizer, builds the circuit for `batch` inferences, and
+// generates keys; no feasible layout within max_k is an InvalidArgument.
+StatusOr<CompiledModel> TryCompileModel(const Model& model, const ZkmlOptions& options = {},
+                                        size_t batch = 1);
+// TryCompileModel for callers that treat an infeasible model as a bug.
 CompiledModel CompileModel(const Model& model, const ZkmlOptions& options = {});
 // Skips the optimizer and uses an explicit layout (ablation experiments).
 CompiledModel CompileModelWithLayout(const Model& model, const PhysicalLayout& layout,

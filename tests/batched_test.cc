@@ -52,17 +52,16 @@ TEST_P(BatchedTest, ProveVerifyRoundTrip) {
       CompileBatched(model, 3, FastOptions(GetParam()));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   ASSERT_EQ(compiled->batch(), 3u);
-  ASSERT_EQ(compiled->instance_offsets.size(), 4u);
 
   const std::vector<Tensor<int64_t>> inputs = BatchInputs(model, 3, 11);
   const StatusOr<BatchedProof> proof = CreateBatchedProof(*compiled, inputs);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
-  ASSERT_EQ(proof->instances.size(), 3u);
+  ASSERT_EQ(proof->artifact.segments.size(), 3u);
   ASSERT_EQ(proof->outputs_q.size(), 3u);
 
   // The statement is the concatenation of the per-inference segments.
   std::vector<Fr> concat;
-  for (const std::vector<Fr>& seg : proof->instances) {
+  for (const std::vector<Fr>& seg : proof->artifact.segments) {
     concat.insert(concat.end(), seg.begin(), seg.end());
   }
   EXPECT_EQ(proof->instance, concat);
@@ -73,8 +72,8 @@ TEST_P(BatchedTest, ProveVerifyRoundTrip) {
     EXPECT_EQ(proof->outputs_q[i].ToVector(), expected.ToVector()) << "inference " << i;
   }
 
-  const std::vector<uint8_t> artifact = EncodeBatchedProof(*proof);
-  EXPECT_TRUE(LooksLikeBatchedProof(artifact));
+  const std::vector<uint8_t> artifact = EncodeCompositeProof(proof->artifact);
+  EXPECT_EQ(CompositeKindOf(artifact), CompositeKind::kBatched);
   const VerifyResult r = VerifyBatchedDetailed(*compiled, proof->instance, artifact);
   EXPECT_TRUE(r.ok()) << r.ToString();
   EXPECT_TRUE(VerifyBatched(*compiled, *proof));
@@ -95,11 +94,13 @@ TEST_P(BatchedTest, BatchOfOneIsBitIdenticalToSingleProof) {
   ASSERT_TRUE(bp.ok()) << bp.status().ToString();
   const ZkmlProof sp = Prove(single, input);
 
-  EXPECT_EQ(bp->bytes, sp.bytes);
+  ASSERT_EQ(bp->artifact.proofs.size(), 1u);
+  EXPECT_EQ(bp->artifact.proofs[0], sp.bytes);
   EXPECT_EQ(bp->instance, sp.instance);
 
   // Cross-check: the single-circuit verifier accepts the batched proof.
-  const VerifyResult r = VerifyDetailed(single.pk.vk, *single.pcs, bp->instance, bp->bytes);
+  const VerifyResult r =
+      VerifyDetailed(single.pk.vk, *single.pcs, bp->instance, bp->artifact.proofs[0]);
   EXPECT_TRUE(r.ok()) << r.ToString();
 }
 
@@ -111,12 +112,12 @@ TEST_P(BatchedTest, TamperedInferenceBlamedAtBatchStitch) {
   const StatusOr<BatchedProof> proof =
       CreateBatchedProof(*compiled, BatchInputs(model, 3, 13));
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
-  const std::vector<uint8_t> artifact = EncodeBatchedProof(*proof);
+  const std::vector<uint8_t> artifact = EncodeCompositeProof(proof->artifact);
 
   // Claiming a different value inside inference 1's segment must fail at the
   // stitch stage, and the rejection must name that inference.
   std::vector<Fr> tampered = proof->instance;
-  const size_t seg1 = compiled->instance_offsets[1];
+  const size_t seg1 = proof->artifact.segments[0].size();
   tampered[seg1] += Fr::One();
   const VerifyResult r = VerifyBatchedDetailed(*compiled, tampered, artifact);
   EXPECT_FALSE(r.ok());
@@ -154,21 +155,21 @@ TEST(BatchedCodecTest, DecodeRoundTripAndMalformedRejection) {
   const StatusOr<BatchedProof> proof = CreateBatchedProof(*compiled, BatchInputs(model, 2, 23));
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
 
-  const std::vector<uint8_t> artifact = EncodeBatchedProof(*proof);
-  ASSERT_EQ(artifact.size(), proof->ProofBytes());
-  const StatusOr<DecodedBatchedProof> decoded = DecodeBatchedProof(artifact);
+  const std::vector<uint8_t> artifact = EncodeCompositeProof(proof->artifact);
+  const StatusOr<CompositeProof> decoded = DecodeCompositeProof(artifact);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->instances, proof->instances);
-  EXPECT_EQ(decoded->proof, proof->bytes);
+  EXPECT_EQ(decoded->kind, CompositeKind::kBatched);
+  EXPECT_EQ(decoded->segments, proof->artifact.segments);
+  EXPECT_EQ(decoded->proofs, proof->artifact.proofs);
 
   // Truncation at any prefix must be rejected, never crash.
   for (const size_t len : {size_t{0}, size_t{3}, size_t{8}, artifact.size() / 2,
                            artifact.size() - 1}) {
     const std::vector<uint8_t> cut(artifact.begin(), artifact.begin() + len);
-    EXPECT_FALSE(DecodeBatchedProof(cut).ok()) << "truncated to " << len << " bytes";
+    EXPECT_FALSE(DecodeCompositeProof(cut).ok()) << "truncated to " << len << " bytes";
   }
-  // A single-circuit proof is not mistaken for a batched artifact.
-  EXPECT_FALSE(LooksLikeBatchedProof(std::vector<uint8_t>{0x01, 0x02, 0x03, 0x04, 0x05}));
+  // A single-circuit proof is not mistaken for a composite artifact.
+  EXPECT_FALSE(CompositeKindOf(std::vector<uint8_t>{0x01, 0x02, 0x03, 0x04, 0x05}));
 }
 
 TEST(BatchedReportTest, ReportJsonCarriesSchemaAndPerInferenceCost) {

@@ -5,6 +5,7 @@
 // never an abort. Runs unchanged under ZKML_SANITIZE=ON.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -12,12 +13,17 @@
 #include <vector>
 
 #include "src/base/rng.h"
+#include "src/model/model_builder.h"
 #include "src/model/serialize.h"
+#include "src/model/zoo.h"
 #include "src/pcs/ipa.h"
 #include "src/pcs/kzg.h"
 #include "src/plonk/keygen.h"
 #include "src/plonk/prover.h"
 #include "src/plonk/verifier.h"
+#include "src/tensor/quantizer.h"
+#include "src/zkml/batched.h"
+#include "src/zkml/sharded.h"
 #include "src/zkml/zkml.h"
 #include "tests/proof_mutator.h"
 
@@ -320,6 +326,75 @@ TEST(FaultInjectionTest, CrossCircuitProofRejected) {
     const VerifyResult result = VerifyProof(ts[i].vk, *ts[i].pcs, ts[i].instance, ts[i + 1].proof);
     ASSERT_FALSE(result.ok()) << ts[i].name << " accepted " << ts[i + 1].name << "'s proof";
   }
+}
+
+// --- Composite artifacts: the same seeded corpus over ZKSH and ZKBP. ---
+
+TEST(FaultInjectionTest, CompositeArtifactMutationsAllRejectedWithNamedStage) {
+  QuantParams qp;
+  qp.sf_bits = 5;
+  qp.table_bits = 10;
+  ModelBuilder mb("tiny-chain", Shape({6}), qp, 3);
+  int t = mb.FullyConnected(mb.input(), 4);
+  t = mb.Activation(t, NonlinFn::kRelu);
+  const Model model = mb.Finish(mb.FullyConnected(t, 3));
+  ZkmlOptions options;
+  options.optimizer.min_columns = 10;
+  options.optimizer.max_columns = 26;
+  options.optimizer.max_k = 14;
+  const Tensor<int64_t> in0 = QuantizeTensor(SyntheticInput(model, 5), model.quant);
+  const Tensor<int64_t> in1 = QuantizeTensor(SyntheticInput(model, 6), model.quant);
+
+  const StatusOr<CompiledShardedModel> sharded = CompileSharded(model, 2, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  const StatusOr<ShardedProof> sp = CreateShardedProof(*sharded, in0);
+  ASSERT_TRUE(sp.ok()) << sp.status().ToString();
+  const StatusOr<CompiledBatchedModel> batched = CompileBatched(model, 2, options);
+  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  const StatusOr<BatchedProof> bp = CreateBatchedProof(*batched, {in0, in1});
+  ASSERT_TRUE(bp.ok()) << bp.status().ToString();
+
+  struct CompositeTarget {
+    std::string name;
+    std::vector<uint8_t> artifact;
+    std::function<VerifyResult(const std::vector<uint8_t>&)> verify;
+  };
+  const std::vector<CompositeTarget> targets = {
+      {"zksh", EncodeCompositeProof(sp->artifact),
+       [&](const std::vector<uint8_t>& a) { return VerifySharded(*sharded, sp->instance, a); }},
+      {"zkbp", EncodeCompositeProof(bp->artifact),
+       [&](const std::vector<uint8_t>& a) {
+         return VerifyBatchedDetailed(*batched, bp->instance, a);
+       }},
+  };
+
+  constexpr uint64_t kSeedsPerKind = 40;
+  size_t cases = 0;
+  std::set<VerifyStage> stages_seen;
+  for (size_t ti = 0; ti < targets.size(); ++ti) {
+    const CompositeTarget& target = targets[ti];
+    ASSERT_TRUE(target.verify(target.artifact).ok()) << target.name;
+    // Splice donor: the other composite kind.
+    const std::vector<uint8_t>& donor = targets[ti ^ 1].artifact;
+    for (MutationKind kind : kAllMutationKinds) {
+      for (uint64_t seed = 0; seed < kSeedsPerKind; ++seed) {
+        ProofMutator mutator(seed * 1000003 + static_cast<uint64_t>(kind) * 131 + 17);
+        const std::vector<uint8_t> bad = mutator.Mutate(target.artifact, kind, donor);
+        if (bad == target.artifact) continue;
+        ++cases;
+        // Planning a verifier from hostile bytes must not abort either.
+        (void)PlanFromArtifact(model, bad, options);
+        const VerifyResult result = target.verify(bad);
+        ASSERT_FALSE(result.ok()) << target.name << " accepted a corrupted artifact (mutation "
+                                  << MutationKindName(kind) << ", seed " << seed << ")";
+        ASSERT_NE(result.stage, VerifyStage::kAccepted);
+        stages_seen.insert(result.stage);
+      }
+    }
+  }
+  EXPECT_GE(cases, 500u);
+  EXPECT_EQ(stages_seen.count(VerifyStage::kShardStitch), 1u);
+  EXPECT_EQ(stages_seen.count(VerifyStage::kBatchStitch), 1u);
 }
 
 // --- Model-loader fuzz: random text corruption never crashes the parser. ---

@@ -368,7 +368,7 @@ TEST(ServeTest, ShardedProveReturnsVerifiableArtifact) {
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_TRUE(first->ok) << first->error.ToString();
   EXPECT_EQ(first->response.shards, 2u);
-  EXPECT_TRUE(LooksLikeShardedProof(first->response.proof));
+  EXPECT_EQ(CompositeKindOf(first->response.proof), CompositeKind::kSharded);
   EXPECT_EQ(first->response.output, RunQuantized(model, input).ToVector());
 
   // The artifact verifies against independently compiled shard keys, with the
@@ -395,7 +395,7 @@ TEST(ServeTest, ShardedProveReturnsVerifiableArtifact) {
   StatusOr<ZkmlClient::ProveOutcome> single = client.Prove(req, 3, kProveWaitMs);
   ASSERT_TRUE(single.ok() && single->ok);
   EXPECT_EQ(single->response.shards, 1u);
-  EXPECT_FALSE(LooksLikeShardedProof(single->response.proof));
+  EXPECT_EQ(CompositeKindOf(single->response.proof), std::nullopt);
   server.Stop();
 }
 
@@ -439,7 +439,7 @@ TEST(ServeTest, BatchedProveReturnsVerifiableArtifact) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_TRUE(r->ok) << r->error.ToString();
   EXPECT_EQ(r->response.batch, 2u);
-  EXPECT_TRUE(LooksLikeBatchedProof(r->response.proof));
+  EXPECT_EQ(CompositeKindOf(r->response.proof), CompositeKind::kBatched);
 
   // The output is the concatenation of both inferences' reference runs
   // (synthetic inputs from seed and seed+1).
@@ -524,7 +524,7 @@ TEST(ServeTest, CompatibleQueuedJobsCoalesceIntoOneBatchedProof) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->ok) << r->error.ToString();
     EXPECT_EQ(r->response.batch, 3u) << "job " << i << " was not coalesced";
-    EXPECT_TRUE(LooksLikeBatchedProof(r->response.proof));
+    EXPECT_EQ(CompositeKindOf(r->response.proof), CompositeKind::kBatched);
     EXPECT_EQ(r->response.output,
               RunQuantized(model, inputs[static_cast<size_t>(i)]).ToVector())
         << "job " << i << " got another member's output";
@@ -547,11 +547,39 @@ TEST(ServeTest, CompatibleQueuedJobsCoalesceIntoOneBatchedProof) {
   server.Stop();
 }
 
-uint64_t AdmissionSamples() {
+uint64_t StageSamples(const std::string& stage) {
   for (const auto& [name, h] : obs::MetricsRegistry::Global().Snapshot().histograms) {
-    if (name == "serve.stage_seconds.admission") return h.count;
+    if (name == "serve.stage_seconds." + stage) return h.count;
   }
   return 0;
+}
+
+TEST(ServeTest, OversizedBatchRejectedBeforeCompile) {
+  ZkmlServer server(FastServe());
+  ASSERT_TRUE(server.Start().ok());
+  ZkmlClient client = MustConnect(server);
+  const uint64_t compiles_before = StageSamples("compile");
+
+  // 100000 mnist statements cannot fit 2^max_k instance rows: the planner's
+  // bound refuses the member before the optimizer or the cache is touched.
+  ProveRequest req;
+  req.model_text = MnistText();
+  req.seed = 3;
+  req.batch = 100000;
+  StatusOr<ZkmlClient::ProveOutcome> bad = client.Prove(req, 1, kProveWaitMs);
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  ASSERT_FALSE(bad->ok);
+  EXPECT_EQ(bad->error.code, WireErrorCode::kMalformedRequest);
+  EXPECT_EQ(bad->error.stage, WireStage::kModelParse);
+  EXPECT_EQ(StageSamples("compile"), compiles_before);
+
+  // The worker is free at once: a normal request on the same connection proves.
+  req.batch = 0;
+  StatusOr<ZkmlClient::ProveOutcome> good = client.Prove(req, 2, kProveWaitMs);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  ASSERT_TRUE(good->ok) << good->error.ToString();
+  EXPECT_EQ(StageSamples("compile"), compiles_before + 1);
+  server.Stop();
 }
 
 TEST(ServeTest, CoalescedMembersFailAloneAndSurvivorsShareOneBatchedProof) {
@@ -561,7 +589,7 @@ TEST(ServeTest, CoalescedMembersFailAloneAndSurvivorsShareOneBatchedProof) {
   options.coalesce_max = 4;  // the queued jobs below fit one claim
   options.event_log_path = event_log;
   ZkmlServer server(options);
-  const uint64_t admissions_before = AdmissionSamples();
+  const uint64_t admissions_before = StageSamples("admission");
   ASSERT_TRUE(server.Start().ok());
 
   const Model model = MakeMnistCnn();
@@ -620,7 +648,7 @@ TEST(ServeTest, CoalescedMembersFailAloneAndSurvivorsShareOneBatchedProof) {
     const auto& r = results[i + 2];
     ASSERT_TRUE(r->ok) << r->error.ToString();
     EXPECT_EQ(r->response.batch, 2u) << "survivor " << i << " was not coalesced";
-    EXPECT_TRUE(LooksLikeBatchedProof(r->response.proof));
+    EXPECT_EQ(CompositeKindOf(r->response.proof), CompositeKind::kBatched);
     EXPECT_EQ(r->response.proof, results[2]->response.proof);
     EXPECT_EQ(r->response.output, expected[i]) << "survivor " << i << " got another output";
   }
@@ -637,7 +665,7 @@ TEST(ServeTest, CoalescedMembersFailAloneAndSurvivorsShareOneBatchedProof) {
 
   // Each job was recorded at admission exactly once, and ended in exactly
   // one terminal event.
-  EXPECT_EQ(AdmissionSamples() - admissions_before, 5u);
+  EXPECT_EQ(StageSamples("admission") - admissions_before, 5u);
   std::map<uint64_t, int> admitted, terminal;
   std::ifstream in(event_log);
   for (std::string line; std::getline(in, line);) {

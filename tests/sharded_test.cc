@@ -51,17 +51,17 @@ TEST_P(ShardedTest, ProveVerifyRoundTrip) {
 
   // k shards -> k+1 boundary vectors; the composite statement is the outer
   // pair, exactly what the single-circuit verifier would see.
-  ASSERT_EQ(proof->boundaries.size(), 3u);
-  ASSERT_EQ(proof->shard_proofs.size(), 2u);
+  ASSERT_EQ(proof->artifact.segments.size(), 3u);
+  ASSERT_EQ(proof->artifact.proofs.size(), 2u);
   EXPECT_EQ(proof->instance.size(),
-            proof->boundaries.front().size() + proof->boundaries.back().size());
+            proof->artifact.segments.front().size() + proof->artifact.segments.back().size());
 
   // The proven output equals the quantized reference execution.
   const Tensor<int64_t> expected = RunQuantized(model, input);
   EXPECT_EQ(proof->output_q.ToVector(), expected.ToVector());
 
-  const std::vector<uint8_t> artifact = EncodeShardedProof(*proof);
-  EXPECT_TRUE(LooksLikeShardedProof(artifact));
+  const std::vector<uint8_t> artifact = EncodeCompositeProof(proof->artifact);
+  EXPECT_EQ(CompositeKindOf(artifact), CompositeKind::kSharded);
   const VerifyResult r = VerifySharded(*compiled, proof->instance, artifact);
   EXPECT_TRUE(r.ok()) << r.ToString();
 }
@@ -90,7 +90,7 @@ TEST_P(ShardedTest, WrongStatementRejectedAtStitchStage) {
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 13), model.quant);
   const StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
-  const std::vector<uint8_t> artifact = EncodeShardedProof(*proof);
+  const std::vector<uint8_t> artifact = EncodeCompositeProof(proof->artifact);
 
   // Claiming a different output must fail before any shard is verified: the
   // artifact's outer boundary disagrees with the statement.
@@ -139,20 +139,21 @@ TEST(ShardedCodecTest, DecodeRoundTripAndMalformedRejection) {
   const StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
 
-  const std::vector<uint8_t> artifact = EncodeShardedProof(*proof);
-  const StatusOr<DecodedShardedProof> decoded = DecodeShardedProof(artifact);
+  const std::vector<uint8_t> artifact = EncodeCompositeProof(proof->artifact);
+  const StatusOr<CompositeProof> decoded = DecodeCompositeProof(artifact);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->boundaries, proof->boundaries);
-  EXPECT_EQ(decoded->shard_proofs, proof->shard_proofs);
+  EXPECT_EQ(decoded->kind, CompositeKind::kSharded);
+  EXPECT_EQ(decoded->segments, proof->artifact.segments);
+  EXPECT_EQ(decoded->proofs, proof->artifact.proofs);
 
   // Truncation at any prefix must be rejected, never crash.
   for (const size_t len : {size_t{0}, size_t{3}, size_t{8}, artifact.size() / 2,
                            artifact.size() - 1}) {
     const std::vector<uint8_t> cut(artifact.begin(), artifact.begin() + len);
-    EXPECT_FALSE(DecodeShardedProof(cut).ok()) << "truncated to " << len << " bytes";
+    EXPECT_FALSE(DecodeCompositeProof(cut).ok()) << "truncated to " << len << " bytes";
   }
-  // A single-circuit proof is not mistaken for a sharded artifact.
-  EXPECT_FALSE(LooksLikeShardedProof(std::vector<uint8_t>{0x01, 0x02, 0x03, 0x04, 0x05}));
+  // A single-circuit proof is not mistaken for a composite artifact.
+  EXPECT_FALSE(CompositeKindOf(std::vector<uint8_t>{0x01, 0x02, 0x03, 0x04, 0x05}));
 }
 
 TEST(ShardedCodecTest, ResolveShardCountClampsToModelAndHardware) {

@@ -519,16 +519,16 @@ TEST_P(ShardedForgeryTest, MutatedBoundaryActivationRejected) {
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 11), model.quant);
   const StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
-  ASSERT_TRUE(VerifySharded(*compiled, proof->instance, EncodeShardedProof(*proof)).ok());
+  ASSERT_TRUE(VerifySharded(*compiled, proof->instance, EncodeCompositeProof(proof->artifact)).ok());
 
   // Forge the interior boundary: the activation shard 0 claims to hand to
   // shard 1. Both shards read the same stored vector, so the lie must be
   // caught by a shard's own instance check — with the culprit named.
   ShardedProof forged = *proof;
-  ASSERT_EQ(forged.boundaries.size(), 3u);
-  forged.boundaries[1][0] += Fr::One();
+  ASSERT_EQ(forged.artifact.segments.size(), 3u);
+  forged.artifact.segments[1][0] += Fr::One();
   const VerifyResult r =
-      VerifySharded(*compiled, forged.instance, EncodeShardedProof(forged));
+      VerifySharded(*compiled, forged.instance, EncodeCompositeProof(forged.artifact));
   ASSERT_FALSE(r.ok()) << "forged boundary activation accepted";
   EXPECT_NE(r.stage, VerifyStage::kAccepted);
   EXPECT_NE(r.ToString().find("shard"), std::string::npos) << r.ToString();
@@ -546,9 +546,9 @@ TEST_P(ShardedForgeryTest, MutatedOuterBoundaryRejectedAtStitchStage) {
   // Forge the artifact's copy of the model input while keeping the claimed
   // statement honest: the outer-boundary consistency check fires first.
   ShardedProof forged = *proof;
-  forged.boundaries.front()[0] += Fr::One();
+  forged.artifact.segments.front()[0] += Fr::One();
   const VerifyResult r =
-      VerifySharded(*compiled, proof->instance, EncodeShardedProof(forged));
+      VerifySharded(*compiled, proof->instance, EncodeCompositeProof(forged.artifact));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.stage, VerifyStage::kShardStitch) << r.ToString();
 }
@@ -674,11 +674,11 @@ TEST(ShardedForgeryTest2, KzgForgedOpeningCaughtOnlyByAggregateCheck) {
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
 
   ShardedProof forged = *proof;
-  std::vector<uint8_t>& pb = forged.shard_proofs[0];
+  std::vector<uint8_t>& pb = forged.artifact.proofs[0];
   ASSERT_GE(pb.size(), 33u);
   pb[pb.size() - 33] ^= 0x01;  // compressed G1 prefix: y -> -y
   const VerifyResult r =
-      VerifySharded(*compiled, forged.instance, EncodeShardedProof(forged));
+      VerifySharded(*compiled, forged.instance, EncodeCompositeProof(forged.artifact));
   ASSERT_FALSE(r.ok()) << "negated KZG witness point accepted";
   EXPECT_EQ(r.stage, VerifyStage::kShardAggregate) << r.ToString();
 }
