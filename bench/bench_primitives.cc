@@ -501,21 +501,23 @@ BENCHMARK(BM_FftMt)->DenseRange(10, 14, 2)->Unit(benchmark::kMillisecond);
 void BM_ProveModel(benchmark::State& state, const char* zoo_name) {
   const size_t requested = static_cast<size_t>(state.range(0));
   const Model model = MakeZooModel(zoo_name);
-  StatusOr<CompiledShardedModel> compiled = CompileSharded(model, requested);
-  if (!compiled.ok()) {
-    state.SkipWithError(compiled.status().ToString().c_str());
+  StatusOr<ProofPlan> plan = PlanProof(model, requested, 0);
+  StatusOr<Circuits> circuits = plan.ok() ? plan->CompileAll() : StatusOr<Circuits>(plan.status());
+  if (!circuits.ok()) {
+    state.SkipWithError(circuits.status().ToString().c_str());
     return;
   }
-  const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 7), model.quant);
+  const std::vector<Tensor<int64_t>> inputs = {
+      QuantizeTensor(SyntheticInput(model, 7), model.quant)};
   for (auto _ : state) {
-    StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input);
+    StatusOr<PlannedProof> proof = plan->Prove(*circuits, inputs);
     if (!proof.ok()) {
       state.SkipWithError(proof.status().ToString().c_str());
       return;
     }
     benchmark::DoNotOptimize(proof->artifact);
   }
-  state.counters["size"] = static_cast<double>(compiled->num_shards());
+  state.counters["size"] = static_cast<double>(plan->shards);
   state.counters["threads"] = static_cast<double>(ThreadPool::Global().num_threads());
 }
 BENCHMARK_CAPTURE(BM_ProveModel, mnist, "mnist")
@@ -545,13 +547,13 @@ void BM_ProveBatched(benchmark::State& state, const char* zoo_name) {
   }
   double s_per_inf = 0;
   for (auto _ : state) {
-    StatusOr<BatchedProof> proof = CreateBatchedProof(*compiled, inputs_q);
+    StatusOr<ZkmlProof> proof = ProveCircuit(compiled->compiled, inputs_q);
     if (!proof.ok()) {
       state.SkipWithError(proof.status().ToString().c_str());
       return;
     }
     s_per_inf = proof->prove_seconds / static_cast<double>(batch);
-    benchmark::DoNotOptimize(proof->artifact);
+    benchmark::DoNotOptimize(proof->bytes);
   }
   state.counters["size"] = static_cast<double>(batch);
   state.counters["s_per_inf"] = s_per_inf;

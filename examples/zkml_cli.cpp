@@ -179,7 +179,12 @@ Status ReadProofFile(const std::string& path, std::vector<uint8_t>* proof,
 }
 
 int CmdExport(const std::string& name, const std::string& path) {
-  const Model model = MakeZooModel(name);
+  const StatusOr<Model> found = FindZooModel(name);
+  if (!found.ok()) {
+    std::fprintf(stderr, "%s\n", found.status().message().c_str());
+    return kExitUsage;
+  }
+  const Model& model = *found;
   if (!SaveModelToFile(model, path)) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return kExitUsage;

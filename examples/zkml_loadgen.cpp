@@ -7,7 +7,7 @@
 // completions, so queue backpressure is actually exercised); --rate=0 runs
 // closed-loop.
 //
-//   zkml_loadgen --port=N [--host=H] [--zoo=mnist-cnn | --model=<file>]
+//   zkml_loadgen --port=N [--host=H] [--zoo=mnist | --model=<file>]
 //                [--requests=N] [--workers=N] [--rate=R] [--deadline-ms=N]
 //                [--backend=kzg|ipa] [--shards=N] [--timeout-ms=N] [--seed=N]
 //                [--out=<file>] [--admin-port=N] [--require-server-match]
@@ -564,15 +564,12 @@ int Main(int argc, char** argv) {
     }
     model_text = SerializeModel(*model);
   } else {
-    // MakeZooModel aborts on unknown names (it is for internal callers);
-    // flag input gets the membership check first.
-    for (const Model& m : AllZooModels()) {
-      if (m.name == opt.zoo) model_text = SerializeModel(m);
-    }
-    if (model_text.empty()) {
-      std::fprintf(stderr, "unknown zoo model '%s'\n", opt.zoo.c_str());
+    const StatusOr<Model> model = FindZooModel(opt.zoo);
+    if (!model.ok()) {
+      std::fprintf(stderr, "%s\n", model.status().message().c_str());
       return 1;
     }
+    model_text = SerializeModel(*model);
   }
   return RunLoad(opt, model_text);
 }

@@ -248,22 +248,43 @@ Model MakeLstmLite() {
   return mb.Finish(logits);
 }
 
+namespace {
+
+struct ZooEntry {
+  const char* name;
+  Model (*make)();
+};
+
+// Table 5 order, then lstm, which AllZooModels leaves out.
+constexpr ZooEntry kZoo[] = {
+    {"gpt2", MakeGpt2Lite},       {"diffusion", MakeDiffusionLite}, {"twitter", MakeMaskNet},
+    {"dlrm", MakeDlrm},           {"mobilenet", MakeMobileNetLite}, {"resnet18", MakeResNetLite},
+    {"vgg16", MakeVggLite},       {"mnist", MakeMnistCnn},          {"lstm", MakeLstmLite},
+};
+
+}  // namespace
+
 std::vector<Model> AllZooModels() {
-  return {MakeGpt2Lite(),  MakeDiffusionLite(), MakeMaskNet(), MakeDlrm(),
-          MakeMobileNetLite(), MakeResNetLite(), MakeVggLite(), MakeMnistCnn()};
+  std::vector<Model> models;
+  for (const ZooEntry& e : kZoo) {
+    if (std::string(e.name) != "lstm") models.push_back(e.make());
+  }
+  return models;
+}
+
+StatusOr<Model> FindZooModel(const std::string& name) {
+  std::string known;
+  for (const ZooEntry& e : kZoo) {
+    if (name == e.name) return e.make();
+    known += known.empty() ? e.name : std::string(", ") + e.name;
+  }
+  return InvalidArgumentError("unknown zoo model '" + name + "' (known: " + known + ")");
 }
 
 Model MakeZooModel(const std::string& name) {
-  if (name == "lstm") {
-    return MakeLstmLite();
-  }
-  for (Model& m : AllZooModels()) {
-    if (m.name == name) {
-      return m;
-    }
-  }
-  ZKML_CHECK_MSG(false, ("unknown model: " + name).c_str());
-  return Model{};
+  StatusOr<Model> model = FindZooModel(name);
+  ZKML_CHECK_MSG(model.ok(), model.status().ToString().c_str());
+  return std::move(model).value();
 }
 
 Tensor<float> SyntheticInput(const Model& model, uint64_t seed) {

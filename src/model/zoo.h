@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/status.h"
 #include "src/model/graph.h"
 
 namespace zkml {
@@ -28,7 +29,10 @@ Model MakeLstmLite();
 // All zoo models, in the paper's Table 5 order (GPT-2 first).
 std::vector<Model> AllZooModels();
 
-// Lookup by name (e.g. "mnist", "gpt2"); aborts on unknown names.
+// Lookup by model name (e.g. "mnist", "vgg16", "lstm"); InvalidArgument,
+// naming every known model, for any other name.
+StatusOr<Model> FindZooModel(const std::string& name);
+// FindZooModel for internal callers; aborts on unknown names.
 Model MakeZooModel(const std::string& name);
 
 // A deterministic synthetic input for the model (values bounded so all

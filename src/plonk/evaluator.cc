@@ -139,56 +139,6 @@ std::vector<size_t> GraphEvaluator::RotationOffsets(size_t size, size_t rot_scal
   return offsets;
 }
 
-Fr GraphEvaluator::Value(const ValueSource& s, const Tables& t, const size_t* rot_offsets,
-                         size_t j, const Fr* scratch) const {
-  switch (s.kind) {
-    case ValueSource::Kind::kConstant:
-      return constants_[s.index];
-    case ValueSource::Kind::kIntermediate:
-      return scratch[s.index];
-    case ValueSource::Kind::kFixed: {
-      size_t idx = j + rot_offsets[s.rotation];
-      if (idx >= t.size) {
-        idx -= t.size;
-      }
-      return (*t.fixed[s.index])[idx];
-    }
-    case ValueSource::Kind::kAdvice: {
-      size_t idx = j + rot_offsets[s.rotation];
-      if (idx >= t.size) {
-        idx -= t.size;
-      }
-      return (*t.advice[s.index])[idx];
-    }
-    case ValueSource::Kind::kInstance: {
-      size_t idx = j + rot_offsets[s.rotation];
-      if (idx >= t.size) {
-        idx -= t.size;
-      }
-      return (*t.instance[s.index])[idx];
-    }
-  }
-  return Fr::Zero();
-}
-
-void GraphEvaluator::EvaluateRow(const Tables& t, const size_t* rot_offsets, size_t j,
-                                 Fr* scratch) const {
-  for (size_t c = 0; c < calculations_.size(); ++c) {
-    const Calculation& k = calculations_[c];
-    const Fr a = Value(k.a, t, rot_offsets, j, scratch);
-    const Fr b = Value(k.b, t, rot_offsets, j, scratch);
-    switch (k.op) {
-      case Calculation::Op::kAdd:
-        scratch[c] = a + b;
-        break;
-      case Calculation::Op::kMul:
-      case Calculation::Op::kScale:
-        scratch[c] = a * b;
-        break;
-    }
-  }
-}
-
 namespace {
 
 // A source resolved to a raw pointer for one block of rows, so the per-row
@@ -397,31 +347,6 @@ const Fr* GraphEvaluator::BlockSeries(const ValueSource& s, const Tables& t,
       std::copy(column->data() + idx, column->data() + t.size, tmp);
       std::copy(column->data(), column->data() + (cnt - rem), tmp + rem);
       return tmp;
-    }
-  }
-}
-
-const Fr& GraphEvaluator::BlockValue(const ValueSource& s, const Tables& t,
-                                     const size_t* rot_offsets, size_t j0, size_t r,
-                                     size_t stride, const Fr* scratch) const {
-  switch (s.kind) {
-    case ValueSource::Kind::kConstant:
-      return constants_[s.index];
-    case ValueSource::Kind::kIntermediate:
-      return scratch[static_cast<size_t>(s.index) * stride + r];
-    case ValueSource::Kind::kFixed:
-    case ValueSource::Kind::kAdvice:
-    case ValueSource::Kind::kInstance:
-    default: {
-      const std::vector<Fr>* column = s.kind == ValueSource::Kind::kFixed ? t.fixed[s.index]
-                                      : s.kind == ValueSource::Kind::kAdvice
-                                          ? t.advice[s.index]
-                                          : t.instance[s.index];
-      size_t idx = j0 + r + rot_offsets[s.rotation];
-      if (idx >= t.size) {
-        idx -= t.size;
-      }
-      return (*column)[idx];
     }
   }
 }

@@ -87,31 +87,18 @@ class GraphEvaluator {
 
   // Wrapped row offsets, one per rotations() entry, for a domain of `size`
   // rows with `rot_scale` rows per unit rotation. Row access for rotation
-  // slot r at row j is then (j + offsets[r]) mod size, which EvaluateRow
-  // performs with a single conditional subtract.
+  // slot r at row j is then (j + offsets[r]) mod size, a single conditional
+  // subtract.
   std::vector<size_t> RotationOffsets(size_t size, size_t rot_scale) const;
 
-  // Executes the plan for row j, filling `scratch` (at least
-  // num_intermediates() entries). `rot_offsets` must come from
-  // RotationOffsets for the same table size.
-  void EvaluateRow(const Tables& t, const size_t* rot_offsets, size_t j, Fr* scratch) const;
-
-  // Reads a source after EvaluateRow has filled `scratch` for row j.
-  Fr Value(const ValueSource& s, const Tables& t, const size_t* rot_offsets, size_t j,
-           const Fr* scratch) const;
-
-  // Block-mode execution: evaluates rows [j0, j0 + cnt), laying scratch out
-  // calculation-major (value of calculation c at row j0+r lives at
-  // scratch[c * stride + r]; stride >= cnt). Operand sources are resolved to
-  // raw pointers once per calculation per block instead of once per row,
-  // which is what the prover's hot loop runs. Values are identical to cnt
-  // calls of EvaluateRow.
+  // Evaluates rows [j0, j0 + cnt), laying scratch out calculation-major
+  // (value of calculation c at row j0+r lives at scratch[c * stride + r];
+  // stride >= cnt). Operand sources are resolved to raw pointers once per
+  // calculation per block instead of once per row. `rot_offsets` must come
+  // from RotationOffsets for the same table size. Row j0+r's values are
+  // those Expression::Evaluate computes at that row.
   void EvaluateBlock(const Tables& t, const size_t* rot_offsets, size_t j0, size_t cnt,
                      size_t stride, Fr* scratch) const;
-
-  // Reads a source for row j0+r after EvaluateBlock filled `scratch`.
-  const Fr& BlockValue(const ValueSource& s, const Tables& t, const size_t* rot_offsets,
-                       size_t j0, size_t r, size_t stride, const Fr* scratch) const;
 
   // Contiguous view of source `s` over rows [j0, j0 + cnt) after EvaluateBlock
   // filled `scratch`. Returns a pointer into the scratch/column storage when

@@ -1,14 +1,12 @@
 #include "src/plonk/mock_prover.h"
 
 #include <string>
-#include <unordered_set>
 
 #include "src/transcript/sha256.h"
 
 namespace zkml {
-namespace {
 
-std::string TupleKey(const std::vector<Fr>& values) {
+std::string LookupTupleKey(const std::vector<Fr>& values) {
   std::string key;
   key.reserve(values.size() * 32);
   for (const Fr& v : values) {
@@ -18,7 +16,18 @@ std::string TupleKey(const std::vector<Fr>& values) {
   return key;
 }
 
-}  // namespace
+std::unordered_set<std::string> LookupTableKeys(const LookupArgument& lk, const Assignment& asn) {
+  std::unordered_set<std::string> keys;
+  keys.reserve(asn.num_rows());
+  std::vector<Fr> tuple(lk.table.size());
+  for (size_t row = 0; row < asn.num_rows(); ++row) {
+    for (size_t j = 0; j < lk.table.size(); ++j) {
+      tuple[j] = asn.Get(lk.table[j], row);
+    }
+    keys.insert(LookupTupleKey(tuple));
+  }
+  return keys;
+}
 
 std::vector<ConstraintFailure> MockProver::Verify(size_t max_failures) const {
   std::vector<ConstraintFailure> failures;
@@ -56,22 +65,14 @@ std::vector<ConstraintFailure> MockProver::Verify(size_t max_failures) const {
   // Lookups.
   for (size_t l = 0; l < cs_->lookups().size(); ++l) {
     const LookupArgument& lk = cs_->lookups()[l];
-    std::unordered_set<std::string> table;
-    table.reserve(n);
-    std::vector<Fr> tuple(lk.table.size());
-    for (size_t row = 0; row < n; ++row) {
-      for (size_t j = 0; j < lk.table.size(); ++j) {
-        tuple[j] = assignment_->Get(lk.table[j], row);
-      }
-      table.insert(TupleKey(tuple));
-    }
+    const std::unordered_set<std::string> table = LookupTableKeys(lk, *assignment_);
     std::vector<Fr> input(lk.inputs.size());
     for (size_t row = 0; row < n && failures.size() < max_failures; ++row) {
       for (size_t j = 0; j < lk.inputs.size(); ++j) {
         input[j] = lk.inputs[j].Evaluate(
             [&](const ColumnQuery& q) { return resolve_at(q, row); });
       }
-      if (table.find(TupleKey(input)) == table.end()) {
+      if (table.find(LookupTupleKey(input)) == table.end()) {
         ConstraintFailure f;
         f.description =
             "lookup '" + lk.name + "' (argument " + std::to_string(l) +

@@ -6,6 +6,7 @@
 #define SRC_PLONK_MOCK_PROVER_H_
 
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/plonk/assignment.h"
@@ -34,6 +35,13 @@ struct ConstraintFailure {
   int64_t row_a = -1;
   int64_t row_b = -1;
 };
+
+// Canonical byte key of a tuple of field elements: a lookup input is in its
+// table iff its key is in the table's key set.
+std::string LookupTupleKey(const std::vector<Fr>& values);
+
+// The key set of the table tuples lookup `lk` offers, one per assigned row.
+std::unordered_set<std::string> LookupTableKeys(const LookupArgument& lk, const Assignment& asn);
 
 class MockProver {
  public:

@@ -15,17 +15,6 @@
 namespace zkml {
 namespace {
 
-// Canonical byte key for a tuple of field elements (lookup table membership).
-std::string TupleKey(const std::vector<Fr>& values) {
-  std::string key;
-  key.reserve(values.size() * 32);
-  for (const Fr& v : values) {
-    const U256 c = v.ToCanonical();
-    key.append(reinterpret_cast<const char*>(c.limbs), sizeof(c.limbs));
-  }
-  return key;
-}
-
 std::string FrToHex(const Fr& v) {
   static const char* kDigits = "0123456789abcdef";
   const U256 c = v.ToCanonical();
@@ -92,15 +81,7 @@ CoverageReport AnalyzeCoverage(const ConstraintSystem& cs, const Assignment& ass
     LookupCoverage lc;
     lc.name = lk.name;
 
-    std::unordered_set<std::string> table;
-    std::vector<Fr> tuple(lk.table.size());
-    for (size_t row = 0; row < n; ++row) {
-      for (size_t j = 0; j < lk.table.size(); ++j) {
-        tuple[j] = assignment.Get(lk.table[j], row);
-      }
-      table.insert(TupleKey(tuple));
-    }
-    lc.table_tuples = table.size();
+    lc.table_tuples = LookupTableKeys(lk, assignment).size();
 
     // Activity mirrors the gate rule: a row is active when any fixed column
     // queried by the input expressions (the selector) is nonzero there. A
@@ -132,7 +113,7 @@ CoverageReport AnalyzeCoverage(const ConstraintSystem& cs, const Assignment& ass
           input[j] =
               lk.inputs[j].Evaluate([&](const ColumnQuery& q) { return resolve_at(q, row); });
         }
-        referenced.insert(TupleKey(input));
+        referenced.insert(LookupTupleKey(input));
       }
     }
     lc.referenced_tuples = referenced.size();
@@ -190,7 +171,6 @@ struct ConstraintIndex {
 
 ConstraintIndex BuildIndex(const ConstraintSystem& cs, const Assignment& assignment) {
   ConstraintIndex index;
-  const size_t n = assignment.num_rows();
   index.gates_by_column.resize(cs.num_advice_columns());
   index.lookups_by_column.resize(cs.num_advice_columns());
 
@@ -216,13 +196,7 @@ ConstraintIndex BuildIndex(const ConstraintSystem& cs, const Assignment& assignm
         index.lookups_by_column[q.column.index].emplace_back(l, q.rotation);
       }
     }
-    std::vector<Fr> tuple(lk.table.size());
-    for (size_t row = 0; row < n; ++row) {
-      for (size_t j = 0; j < lk.table.size(); ++j) {
-        tuple[j] = assignment.Get(lk.table[j], row);
-      }
-      index.lookup_tables[l].insert(TupleKey(tuple));
-    }
+    index.lookup_tables[l] = LookupTableKeys(lk, assignment);
   }
 
   for (const auto& [a, b] : assignment.copies()) {
@@ -269,7 +243,7 @@ bool MutantDetected(const ConstraintSystem& cs, const Assignment& assignment,
     for (size_t j = 0; j < lk.inputs.size(); ++j) {
       input[j] = lk.inputs[j].Evaluate([&](const ColumnQuery& q) { return resolve_at(q, base); });
     }
-    if (index.lookup_tables[l].find(TupleKey(input)) == index.lookup_tables[l].end()) {
+    if (index.lookup_tables[l].find(LookupTupleKey(input)) == index.lookup_tables[l].end()) {
       return true;
     }
   }

@@ -1,6 +1,7 @@
 #include "src/serve/server.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <future>
@@ -937,8 +938,10 @@ void ZkmlServer::RunGroup(const std::vector<std::shared_ptr<Job>>& group) {
   });
   Job& lead = *live.front();
 
-  // 4. Plan (src/zkml decides the kind), then compile each circuit through
-  // the cache under `hash + suffix + backend`.
+  // 4. Plan (src/zkml decides the kind), then compile every circuit,
+  // concurrently, through the cache under `hash + suffix + backend`. A pool
+  // task may wait there on another job's in-flight compile; DESIGN.md §11
+  // says why that cannot deadlock.
   set_stage(WireStage::kCompile);
   const auto compile_start = SteadyClock::now();
   StatusOr<ProofPlan> plan = PlanProof(*model, lead.request.shards, inferences, zo);
@@ -949,29 +952,23 @@ void ZkmlServer::RunGroup(const std::vector<std::shared_ptr<Job>>& group) {
   if (plan->shards > 1) lead.shards_total.store(plan->shards, std::memory_order_relaxed);
   const std::string model_hash = ModelHashHex(lead.request.model_text);
   const std::string backend = zo.backend == PcsKind::kIpa ? ":ipa" : ":kzg";
-  bool cache_hit = true;
-  Circuits circuits;
-  {
+  std::atomic<bool> cache_hit{true};
+  StatusOr<Circuits> circuits = [&] {
     obs::Span span("serve.compile");
-    for (size_t i = 0; i < plan->circuits.size() && !live.empty(); ++i) {
-      StatusOr<std::shared_ptr<const CompiledModel>> compiled = cache_.GetOrCompile(
-          model_hash + plan->circuits[i].key_suffix + backend,
-          [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
-            cache_hit = false;
-            ZKML_ASSIGN_OR_RETURN(CompiledModel c, plan->Compile(i));
-            return std::make_shared<const CompiledModel>(std::move(c));
-          });
-      const Status s = compiled.ok() ? pacer.cancel->Check("compile") : compiled.status();
-      if (s.ok()) {
-        circuits.push_back(std::move(*compiled));
-      } else {
-        fail_live(s, WireStage::kCompile);
-      }
-    }
-  }
+    return plan->CompileAll([&](size_t i, const ProofPlan::CompileFn& compile) {
+      return cache_.GetOrCompile(model_hash + plan->circuits[i].key_suffix + backend, [&] {
+        cache_hit = false;
+        return compile();
+      });
+    });
+  }();
   const double compile_seconds = SecondsBetween(compile_start, SteadyClock::now());
   counters_->stage_compile->Record(compile_seconds);
-  if (live.empty()) return;
+  if (const Status s = circuits.ok() ? pacer.cancel->Check("compile") : circuits.status();
+      !s.ok()) {
+    fail_live(s, WireStage::kCompile);
+    return;
+  }
 
   // 5. Inputs: inference i of a member is the i-th slice of its explicit
   // input (inference-major), or else SyntheticInput(seed + i), so a batch is
@@ -1001,7 +998,7 @@ void ZkmlServer::RunGroup(const std::vector<std::shared_ptr<Job>>& group) {
   const auto prove_start = SteadyClock::now();
   StatusOr<PlannedProof> proved = [&] {
     obs::Span span("serve.prove");
-    return plan->Prove(circuits, inputs, pacer.cancel.get(), compile_seconds,
+    return plan->Prove(*circuits, inputs, pacer.cancel.get(), compile_seconds,
                        [&lead](size_t done, size_t) {
                          lead.shards_done.store(static_cast<uint32_t>(done),
                                                 std::memory_order_relaxed);

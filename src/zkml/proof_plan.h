@@ -5,7 +5,8 @@
 // PlanFromArtifact decide which; callers compile, prove and verify through
 // the returned ProofPlan. Both composite kinds are one shape, a list of
 // circuits proved over segments of one statement with their KZG openings
-// folded into one accumulator, so they share one codec and one verifier.
+// folded into one accumulator, so they share one codec and one verifier, and
+// every circuit is proved by the one prove step, ProveCircuit.
 #ifndef SRC_ZKML_PROOF_PLAN_H_
 #define SRC_ZKML_PROOF_PLAN_H_
 
@@ -17,12 +18,12 @@
 
 #include "src/base/cancel.h"
 #include "src/base/status.h"
+#include "src/compiler/partition.h"
 #include "src/obs/json.h"
 #include "src/zkml/zkml.h"
 
 namespace zkml {
 
-struct CompiledShardedModel;
 using Circuits = std::vector<std::shared_ptr<const CompiledModel>>;
 
 // --- Composite artifact ---
@@ -97,6 +98,12 @@ struct ProofPlan {
     const Model* model = nullptr;  // the planned model, or a shard the plan owns
     std::string key_suffix;        // cache-key suffix: "", ":shardI/K" or ":batchN"
   };
+  using CompileFn = std::function<StatusOr<std::shared_ptr<const CompiledModel>>()>;
+  // Runs circuit `circuit`'s compile step, `compile`: serve routes it through
+  // its compiled-model cache.
+  using CompileHook =
+      std::function<StatusOr<std::shared_ptr<const CompiledModel>>(size_t circuit,
+                                                                   const CompileFn& compile)>;
 
   // The response fields: shards >= 1; batch is 0 unless the plan is batched.
   uint32_t shards = 1;
@@ -106,11 +113,13 @@ struct ProofPlan {
   std::vector<Circuit> circuits;
 
   size_t inferences() const { return batch > 1 ? batch : 1; }
-  // One circuit's compile step (optimizer, setup, keygen).
-  StatusOr<CompiledModel> Compile(size_t circuit) const;
-  // Every circuit's compile step, concurrently.
-  StatusOr<Circuits> CompileAll() const;
-  // Proves inferences() inputs; `compile_seconds` goes into the report.
+  // Every circuit's compile step (optimizer, setup, keygen), concurrently on
+  // the global pool; through `hook` when one is given.
+  StatusOr<Circuits> CompileAll(const CompileHook& hook = nullptr) const;
+  // Proves inferences() inputs; `compile_seconds` goes into the report. One
+  // circuit (single or batched) is one ProveCircuit call; a shard chain runs
+  // RunQuantized across the shards to fix every boundary, then ProveCircuit
+  // per shard concurrently, then checks each shard's statement stitches.
   StatusOr<PlannedProof> Prove(const Circuits& compiled, const std::vector<Tensor<int64_t>>& inputs,
                                const CancelToken* cancel = nullptr, double compile_seconds = 0,
                                const ShardProgressFn& progress = nullptr) const;
@@ -123,7 +132,9 @@ struct ProofPlan {
   // Set by the planner.
   std::optional<CompositeKind> composite;  // nullopt: one raw proof
   ZkmlOptions options;
-  std::shared_ptr<CompiledShardedModel> sharded;  // model and partition; Prove adds the shards
+  const Model* model = nullptr;  // the planned model
+  // Sharded plans: the cut the circuits' models point into.
+  std::shared_ptr<ModelPartition> partition;
 };
 
 // Rejects, before any compile, requests no plan can serve: shards and batch

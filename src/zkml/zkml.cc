@@ -1,5 +1,7 @@
 #include "src/zkml/zkml.h"
 
+#include <algorithm>
+
 #include "src/base/check.h"
 #include "src/base/timer.h"
 #include "src/compiler/compiler.h"
@@ -73,23 +75,39 @@ CompiledModel CompileModel(const Model& model, const ZkmlOptions& options) {
   return std::move(compiled).value();
 }
 
-StatusOr<ZkmlProof> ProveCancellable(const CompiledModel& compiled,
-                                     const Tensor<int64_t>& input_q,
-                                     const CancelToken* cancel) {
-  ZkmlProof out;
-  if (compiled.layout.batch > 1) {
-    return InvalidArgumentError("model was compiled for batch size " +
-                                std::to_string(compiled.layout.batch) +
-                                "; use CreateBatchedProof");
+Status CheckInputs(const CompiledModel& compiled, const std::vector<Tensor<int64_t>>& inputs_q) {
+  const Model& model = compiled.model;
+  const size_t batch = std::max<size_t>(1, compiled.layout.batch);
+  if (inputs_q.size() != batch) {
+    return InvalidArgumentError("prove: got " + std::to_string(inputs_q.size()) +
+                                " inputs, model '" + model.name + "' was compiled for batch " +
+                                std::to_string(batch));
   }
+  for (size_t i = 0; i < inputs_q.size(); ++i) {
+    if (inputs_q[i].shape() != model.input_shape) {
+      return InvalidArgumentError("prove: input " + std::to_string(i) + " has shape " +
+                                  inputs_q[i].shape().ToString() + ", model '" + model.name +
+                                  "' expects " + model.input_shape.ToString());
+    }
+  }
+  return Status::Ok();
+}
+
+StatusOr<ZkmlProof> ProveCircuit(const CompiledModel& compiled,
+                                 const std::vector<Tensor<int64_t>>& inputs_q,
+                                 const CancelToken* cancel) {
+  ZKML_RETURN_IF_ERROR(CheckInputs(compiled, inputs_q));
   ZKML_RETURN_IF_ERROR(CheckCancel(cancel, "witness-gen"));
+  ZkmlProof out;
   Timer witness_timer;
   BuiltBatchedCircuit built = [&] {
     obs::Span witness_span("witness-gen");
-    return BuildBatchedCircuit(compiled.model, compiled.layout, {input_q});
+    return BuildBatchedCircuit(compiled.model, compiled.layout, inputs_q);
   }();
   out.witness_seconds = witness_timer.ElapsedSeconds();
-  out.output_q = std::move(built.outputs_q[0]);
+  out.outputs_q = std::move(built.outputs_q);
+  out.output_q = out.outputs_q.front();
+  out.segment_offsets = std::move(built.instance_offsets);
 
   const Assignment& asn = built.builder->assignment();
   const std::vector<Fr>& inst = asn.instance()[0];
@@ -101,6 +119,12 @@ StatusOr<ZkmlProof> ProveCancellable(const CompiledModel& compiled,
   out.prove_seconds = prove_timer.ElapsedSeconds();
   obs::MetricsRegistry::Global().gauge("prover.measured_prove_seconds").Set(out.prove_seconds);
   return out;
+}
+
+StatusOr<ZkmlProof> ProveCancellable(const CompiledModel& compiled,
+                                     const Tensor<int64_t>& input_q,
+                                     const CancelToken* cancel) {
+  return ProveCircuit(compiled, {input_q}, cancel);
 }
 
 ZkmlProof Prove(const CompiledModel& compiled, const Tensor<int64_t>& input_q) {

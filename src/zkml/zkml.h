@@ -56,28 +56,46 @@ CompiledModel CompileModel(const Model& model, const ZkmlOptions& options = {});
 CompiledModel CompileModelWithLayout(const Model& model, const PhysicalLayout& layout,
                                      const ZkmlOptions& options = {});
 
+// What the one prove step produced for a compiled circuit and its N >= 1
+// inputs (N is the layout's batch; 1 for a single-inference circuit).
 struct ZkmlProof {
   std::vector<uint8_t> bytes;
-  // Public statement: the instance column (input values then output values).
+  // Public statement: the instance column, per inference its input values
+  // then its output values.
   std::vector<Fr> instance;
-  Tensor<int64_t> output_q;
+  // Inference i's segment of the statement is [segment_offsets[i],
+  // segment_offsets[i + 1]); N + 1 entries.
+  std::vector<size_t> segment_offsets;
+  std::vector<Tensor<int64_t>> outputs_q;  // one per inference
+  Tensor<int64_t> output_q;                // outputs_q[0]
   double witness_seconds = 0;
   double prove_seconds = 0;
   // Per-stage wall time and FFT/MSM op counts for the CreateProof call.
   ProverMetrics prover_metrics;
 };
 
-// Produces a proof that `compiled.model` maps input_q to the returned output.
-ZkmlProof Prove(const CompiledModel& compiled, const Tensor<int64_t>& input_q);
+// InvalidArgument unless `inputs_q` holds exactly one input per inference of
+// `compiled` (its layout's batch), each shaped as the model's input.
+Status CheckInputs(const CompiledModel& compiled, const std::vector<Tensor<int64_t>>& inputs_q);
 
-// Cancellable variant for long-lived callers (the proving daemon's deadline
-// enforcement, the CLI's SIGINT handling). `cancel` may be null; when it
-// fires the call returns kCancelled / kDeadlineExceeded at the next
-// checkpoint (before witness generation and between prover rounds) instead
-// of running the proof to completion.
+// The one witness -> prove step for every circuit kind: validates the inputs
+// (CheckInputs), builds the circuit's witness under the "witness-gen" span and
+// proves it. `cancel` may be null; when it fires the call returns kCancelled /
+// kDeadlineExceeded at the next checkpoint (before witness generation and
+// between prover rounds) instead of running the proof to completion. With a
+// batch-1 layout the bytes are those of the single-inference circuit.
+StatusOr<ZkmlProof> ProveCircuit(const CompiledModel& compiled,
+                                 const std::vector<Tensor<int64_t>>& inputs_q,
+                                 const CancelToken* cancel = nullptr);
+
+// ProveCircuit for one input, for long-lived callers that hold a cancel token
+// (the proving daemon's deadlines, the CLI's SIGINT handling).
 StatusOr<ZkmlProof> ProveCancellable(const CompiledModel& compiled,
                                      const Tensor<int64_t>& input_q,
                                      const CancelToken* cancel);
+
+// ProveCancellable for callers that treat a failed proof as a bug.
+ZkmlProof Prove(const CompiledModel& compiled, const Tensor<int64_t>& input_q);
 
 // Verifies a proof against its public statement, attributing any rejection to
 // the stage that failed (see VerifyResult). Validates the instance length

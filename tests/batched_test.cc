@@ -1,5 +1,6 @@
-// End-to-end tests for batched multi-inference proving (src/zkml/batched.h):
-// compile/prove/verify under both commitment backends, N=1 bit-compatibility
+// End-to-end tests for batched multi-inference proving (src/zkml/batched.h),
+// proved through the planner: compile/prove/verify under both commitment
+// backends, N=1 bit-compatibility
 // with the single-circuit pipeline, per-inference tamper attribution at the
 // batch-stitch stage, artifact codec round-trips, and the telemetry report.
 #include <gtest/gtest.h>
@@ -44,6 +45,13 @@ std::vector<Tensor<int64_t>> BatchInputs(const Model& model, size_t batch, uint6
   return inputs;
 }
 
+// Proves through the planner with the circuit CompileBatched built.
+StatusOr<PlannedProof> ProveBatched(const Model& model, const CompiledBatchedModel& compiled,
+                                    const std::vector<Tensor<int64_t>>& inputs) {
+  ZKML_ASSIGN_OR_RETURN(ProofPlan plan, PlanProof(model, 1, compiled.batch()));
+  return plan.Prove({std::make_shared<const CompiledModel>(compiled.compiled)}, inputs);
+}
+
 class BatchedTest : public ::testing::TestWithParam<PcsKind> {};
 
 TEST_P(BatchedTest, ProveVerifyRoundTrip) {
@@ -54,14 +62,16 @@ TEST_P(BatchedTest, ProveVerifyRoundTrip) {
   ASSERT_EQ(compiled->batch(), 3u);
 
   const std::vector<Tensor<int64_t>> inputs = BatchInputs(model, 3, 11);
-  const StatusOr<BatchedProof> proof = CreateBatchedProof(*compiled, inputs);
+  const StatusOr<PlannedProof> proof = ProveBatched(model, *compiled, inputs);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
-  ASSERT_EQ(proof->artifact.segments.size(), 3u);
-  ASSERT_EQ(proof->outputs_q.size(), 3u);
+  const StatusOr<CompositeProof> artifact = DecodeCompositeProof(proof->artifact);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  ASSERT_EQ(artifact->segments.size(), 3u);
+  ASSERT_EQ(proof->outputs.size(), 3u);
 
   // The statement is the concatenation of the per-inference segments.
   std::vector<Fr> concat;
-  for (const std::vector<Fr>& seg : proof->artifact.segments) {
+  for (const std::vector<Fr>& seg : artifact->segments) {
     concat.insert(concat.end(), seg.begin(), seg.end());
   }
   EXPECT_EQ(proof->instance, concat);
@@ -69,14 +79,12 @@ TEST_P(BatchedTest, ProveVerifyRoundTrip) {
   // Every inference's proven output equals its quantized reference execution.
   for (size_t i = 0; i < 3; ++i) {
     const Tensor<int64_t> expected = RunQuantized(model, inputs[i]);
-    EXPECT_EQ(proof->outputs_q[i].ToVector(), expected.ToVector()) << "inference " << i;
+    EXPECT_EQ(proof->outputs[i], expected.ToVector()) << "inference " << i;
   }
 
-  const std::vector<uint8_t> artifact = EncodeCompositeProof(proof->artifact);
-  EXPECT_EQ(CompositeKindOf(artifact), CompositeKind::kBatched);
-  const VerifyResult r = VerifyBatchedDetailed(*compiled, proof->instance, artifact);
+  EXPECT_EQ(CompositeKindOf(proof->artifact), CompositeKind::kBatched);
+  const VerifyResult r = VerifyBatchedDetailed(*compiled, proof->instance, proof->artifact);
   EXPECT_TRUE(r.ok()) << r.ToString();
-  EXPECT_TRUE(VerifyBatched(*compiled, *proof));
 }
 
 TEST_P(BatchedTest, BatchOfOneIsBitIdenticalToSingleProof) {
@@ -90,17 +98,15 @@ TEST_P(BatchedTest, BatchOfOneIsBitIdenticalToSingleProof) {
   const CompiledModel single = CompileModel(model, options);
 
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 5), model.quant);
-  const StatusOr<BatchedProof> bp = CreateBatchedProof(*batched, {input});
+  const StatusOr<ZkmlProof> bp = ProveCircuit(batched->compiled, {input});
   ASSERT_TRUE(bp.ok()) << bp.status().ToString();
   const ZkmlProof sp = Prove(single, input);
 
-  ASSERT_EQ(bp->artifact.proofs.size(), 1u);
-  EXPECT_EQ(bp->artifact.proofs[0], sp.bytes);
+  EXPECT_EQ(bp->bytes, sp.bytes);
   EXPECT_EQ(bp->instance, sp.instance);
 
   // Cross-check: the single-circuit verifier accepts the batched proof.
-  const VerifyResult r =
-      VerifyDetailed(single.pk.vk, *single.pcs, bp->instance, bp->artifact.proofs[0]);
+  const VerifyResult r = VerifyDetailed(single.pk.vk, *single.pcs, bp->instance, bp->bytes);
   EXPECT_TRUE(r.ok()) << r.ToString();
 }
 
@@ -109,15 +115,14 @@ TEST_P(BatchedTest, TamperedInferenceBlamedAtBatchStitch) {
   const StatusOr<CompiledBatchedModel> compiled =
       CompileBatched(model, 3, FastOptions(GetParam()));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  const StatusOr<BatchedProof> proof =
-      CreateBatchedProof(*compiled, BatchInputs(model, 3, 13));
+  const StatusOr<PlannedProof> proof = ProveBatched(model, *compiled, BatchInputs(model, 3, 13));
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
-  const std::vector<uint8_t> artifact = EncodeCompositeProof(proof->artifact);
+  const std::vector<uint8_t>& artifact = proof->artifact;
 
   // Claiming a different value inside inference 1's segment must fail at the
   // stitch stage, and the rejection must name that inference.
   std::vector<Fr> tampered = proof->instance;
-  const size_t seg1 = proof->artifact.segments[0].size();
+  const size_t seg1 = proof->instance.size() / 3;
   tampered[seg1] += Fr::One();
   const VerifyResult r = VerifyBatchedDetailed(*compiled, tampered, artifact);
   EXPECT_FALSE(r.ok());
@@ -138,8 +143,9 @@ TEST_P(BatchedTest, WrongInputCountRejected) {
   const StatusOr<CompiledBatchedModel> compiled =
       CompileBatched(model, 2, FastOptions(GetParam()));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  const StatusOr<BatchedProof> proof = CreateBatchedProof(*compiled, BatchInputs(model, 3, 7));
-  EXPECT_FALSE(proof.ok());
+  EXPECT_FALSE(ProveBatched(model, *compiled, BatchInputs(model, 3, 7)).ok());
+  const StatusOr<ZkmlProof> proof = ProveCircuit(compiled->compiled, BatchInputs(model, 3, 7));
+  EXPECT_EQ(proof.status().code(), StatusCode::kInvalidArgument) << proof.status().ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BatchedTest, ::testing::Values(PcsKind::kKzg, PcsKind::kIpa),
@@ -152,15 +158,16 @@ TEST(BatchedCodecTest, DecodeRoundTripAndMalformedRejection) {
   const StatusOr<CompiledBatchedModel> compiled =
       CompileBatched(model, 2, FastOptions(PcsKind::kKzg));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  const StatusOr<BatchedProof> proof = CreateBatchedProof(*compiled, BatchInputs(model, 2, 23));
+  const StatusOr<PlannedProof> proof = ProveBatched(model, *compiled, BatchInputs(model, 2, 23));
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
 
-  const std::vector<uint8_t> artifact = EncodeCompositeProof(proof->artifact);
+  const std::vector<uint8_t>& artifact = proof->artifact;
   const StatusOr<CompositeProof> decoded = DecodeCompositeProof(artifact);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->kind, CompositeKind::kBatched);
-  EXPECT_EQ(decoded->segments, proof->artifact.segments);
-  EXPECT_EQ(decoded->proofs, proof->artifact.proofs);
+  EXPECT_EQ(decoded->segments.size(), 2u);
+  EXPECT_EQ(decoded->proofs.size(), 1u);
+  EXPECT_EQ(EncodeCompositeProof(*decoded), artifact);
 
   // Truncation at any prefix must be rejected, never crash.
   for (const size_t len : {size_t{0}, size_t{3}, size_t{8}, artifact.size() / 2,
@@ -177,10 +184,10 @@ TEST(BatchedReportTest, ReportJsonCarriesSchemaAndPerInferenceCost) {
   const StatusOr<CompiledBatchedModel> compiled =
       CompileBatched(model, 2, FastOptions(PcsKind::kKzg));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  const StatusOr<BatchedProof> proof = CreateBatchedProof(*compiled, BatchInputs(model, 2, 17));
+  const StatusOr<PlannedProof> proof = ProveBatched(model, *compiled, BatchInputs(model, 2, 17));
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
 
-  const obs::Json report = BatchedReportJson(*compiled, *proof);
+  const obs::Json& report = proof->report;
   ASSERT_NE(report.Find("schema"), nullptr);
   EXPECT_EQ(report.Find("schema")->AsString(), kBatchedProofSchema);
   ASSERT_NE(report.Find("batch"), nullptr);

@@ -86,11 +86,12 @@ TEST(DeterminismTest, GoldenShardedArtifactBytes) {
     compiled.shards.push_back(std::make_shared<const CompiledModel>(CompileFixed(shard.model)));
   }
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 77), model.quant);
-  const StatusOr<ShardedProof> proof = CreateShardedProof(compiled, input);
+  const StatusOr<ProofPlan> plan = PlanProof(model, 2, 0);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const StatusOr<PlannedProof> proof = plan->Prove(compiled.shards, {input});
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
-  const std::vector<uint8_t> artifact = EncodeCompositeProof(proof->artifact);
-  ASSERT_TRUE(VerifySharded(compiled, proof->instance, artifact).ok());
-  EXPECT_EQ(HexDigest(artifact), kShardedGoldenSha256);
+  ASSERT_TRUE(VerifySharded(compiled, proof->instance, proof->artifact).ok());
+  EXPECT_EQ(HexDigest(proof->artifact), kShardedGoldenSha256);
 }
 
 TEST(DeterminismTest, GoldenBatchedArtifactBytes) {
@@ -99,11 +100,13 @@ TEST(DeterminismTest, GoldenBatchedArtifactBytes) {
   const std::vector<Tensor<int64_t>> inputs = {
       QuantizeTensor(SyntheticInput(model, 77), model.quant),
       QuantizeTensor(SyntheticInput(model, 78), model.quant)};
-  const StatusOr<BatchedProof> proof = CreateBatchedProof(compiled, inputs);
+  const StatusOr<ProofPlan> plan = PlanProof(model, 1, 2);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const StatusOr<PlannedProof> proof =
+      plan->Prove({std::make_shared<const CompiledModel>(compiled)}, inputs);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
-  const std::vector<uint8_t> artifact = EncodeCompositeProof(proof->artifact);
-  ASSERT_TRUE(VerifyBatchedDetailed(compiled, proof->instance, artifact).ok());
-  EXPECT_EQ(HexDigest(artifact), kBatchedGoldenSha256);
+  ASSERT_TRUE(VerifyBatchedDetailed(compiled, proof->instance, proof->artifact).ok());
+  EXPECT_EQ(HexDigest(proof->artifact), kBatchedGoldenSha256);
 }
 
 }  // namespace

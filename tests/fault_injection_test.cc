@@ -347,11 +347,16 @@ TEST(FaultInjectionTest, CompositeArtifactMutationsAllRejectedWithNamedStage) {
 
   const StatusOr<CompiledShardedModel> sharded = CompileSharded(model, 2, options);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  const StatusOr<ShardedProof> sp = CreateShardedProof(*sharded, in0);
+  const StatusOr<ProofPlan> shard_plan = PlanProof(model, 2, 0, options);
+  ASSERT_TRUE(shard_plan.ok()) << shard_plan.status().ToString();
+  const StatusOr<PlannedProof> sp = shard_plan->Prove(sharded->shards, {in0});
   ASSERT_TRUE(sp.ok()) << sp.status().ToString();
   const StatusOr<CompiledBatchedModel> batched = CompileBatched(model, 2, options);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  const StatusOr<BatchedProof> bp = CreateBatchedProof(*batched, {in0, in1});
+  const StatusOr<ProofPlan> batch_plan = PlanProof(model, 1, 2, options);
+  ASSERT_TRUE(batch_plan.ok()) << batch_plan.status().ToString();
+  const StatusOr<PlannedProof> bp =
+      batch_plan->Prove({std::make_shared<const CompiledModel>(batched->compiled)}, {in0, in1});
   ASSERT_TRUE(bp.ok()) << bp.status().ToString();
 
   struct CompositeTarget {
@@ -360,9 +365,9 @@ TEST(FaultInjectionTest, CompositeArtifactMutationsAllRejectedWithNamedStage) {
     std::function<VerifyResult(const std::vector<uint8_t>&)> verify;
   };
   const std::vector<CompositeTarget> targets = {
-      {"zksh", EncodeCompositeProof(sp->artifact),
+      {"zksh", sp->artifact,
        [&](const std::vector<uint8_t>& a) { return VerifySharded(*sharded, sp->instance, a); }},
-      {"zkbp", EncodeCompositeProof(bp->artifact),
+      {"zkbp", bp->artifact,
        [&](const std::vector<uint8_t>& a) {
          return VerifyBatchedDetailed(*batched, bp->instance, a);
        }},

@@ -83,6 +83,21 @@ TEST(ZooTest, ModelsBuildAndReportStats) {
   EXPECT_TRUE(MakeMaskNet().UsedNonlinFns().count(NonlinFn::kRsqrt) > 0);
 }
 
+TEST(ZooTest, FindZooModelNamesEveryModelAndRejectsTheRest) {
+  // Every zoo model, lstm included, is found under its own name.
+  std::vector<Model> models = AllZooModels();
+  models.push_back(MakeLstmLite());
+  for (const Model& m : models) {
+    const StatusOr<Model> found = FindZooModel(m.name);
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_EQ(found->name, m.name);
+  }
+  // Near-miss names are an error, not an abort.
+  for (const char* name : {"vgg", "resnet", "masknet", "no-such-model", ""}) {
+    EXPECT_EQ(FindZooModel(name).status().code(), StatusCode::kInvalidArgument) << name;
+  }
+}
+
 class ZooAgreementTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ZooAgreementTest, QuantizedTracksFloat) {

@@ -4,6 +4,8 @@
 // and a prove/verify round trip through the plan for every kind.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "src/model/model_builder.h"
 #include "src/model/zoo.h"
 #include "src/tensor/quantizer.h"
@@ -175,9 +177,17 @@ TEST(ProofPlanTest, OneShardArtifactStillVerifies) {
   const StatusOr<CompiledShardedModel> compiled = CompileSharded(model, 4, FastOptions());
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   ASSERT_EQ(compiled->num_shards(), 1u);
-  const StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, Inputs(model, 1)[0]);
+  // Such an artifact is the one shard's proof over the segments [input,
+  // output] of its statement.
+  const StatusOr<ZkmlProof> proof = ProveCancellable(*compiled->shards[0], Inputs(model, 1)[0],
+                                                     /*cancel=*/nullptr);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
-  const std::vector<uint8_t> artifact = EncodeCompositeProof(proof->artifact);
+  CompositeProof one_shard;
+  one_shard.kind = CompositeKind::kSharded;
+  const auto split = proof->instance.begin() + model.input_shape.NumElements();
+  one_shard.segments = {{proof->instance.begin(), split}, {split, proof->instance.end()}};
+  one_shard.proofs = {proof->bytes};
+  const std::vector<uint8_t> artifact = EncodeCompositeProof(one_shard);
 
   const StatusOr<ProofPlan> plan = PlanFromArtifact(model, artifact, FastOptions());
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -187,6 +197,33 @@ TEST(ProofPlanTest, OneShardArtifactStillVerifies) {
   ASSERT_TRUE(circuits.ok()) << circuits.status().ToString();
   const VerifyResult r = plan->Verify(*circuits, proof->instance, artifact);
   EXPECT_TRUE(r.ok()) << r.ToString();
+}
+
+TEST(ProofPlanTest, WrongShapedInputIsInvalidArgumentForEveryKind) {
+  // Right element count, wrong shape: the prove step rejects it instead of
+  // tripping the lowering's shape check.
+  const Model tiny = OneRelu();
+  const ZkmlOptions options = FastOptions();
+  const Tensor<int64_t> flat(Shape({16}), std::vector<int64_t>(16, 1));
+  const CompiledModel single = CompileModel(tiny, options);
+  const StatusOr<ZkmlProof> direct = ProveCancellable(single, flat, /*cancel=*/nullptr);
+  EXPECT_EQ(direct.status().code(), StatusCode::kInvalidArgument) << direct.status().ToString();
+
+  const Model chain = TinyChain();
+  const Tensor<int64_t> row(Shape({1, 6}), std::vector<int64_t>(6, 1));
+  for (const auto& [model, shards, batch, input] :
+       {std::tuple<const Model*, size_t, size_t, const Tensor<int64_t>*>{&tiny, 0, 0, &flat},
+        {&tiny, 0, 2, &flat},
+        {&chain, 2, 0, &row}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards) + " batch " + std::to_string(batch));
+    const StatusOr<ProofPlan> plan = PlanProof(*model, shards, batch, options);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const StatusOr<Circuits> circuits = plan->CompileAll();
+    ASSERT_TRUE(circuits.ok()) << circuits.status().ToString();
+    const StatusOr<PlannedProof> proof =
+        plan->Prove(*circuits, std::vector<Tensor<int64_t>>(plan->inferences(), *input));
+    EXPECT_EQ(proof.status().code(), StatusCode::kInvalidArgument) << proof.status().ToString();
+  }
 }
 
 }  // namespace

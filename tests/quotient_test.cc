@@ -200,32 +200,23 @@ TEST(GraphEvaluatorTest, CompiledPlanMatchesNaiveEvaluate) {
     t.instance = ip.data();
     t.size = kSize;
     const std::vector<size_t> offsets = graph.RotationOffsets(kSize, kRotScale);
-    std::vector<Fr> scratch(graph.num_intermediates());
 
-    for (size_t j = 0; j < kSize; ++j) {
-      graph.EvaluateRow(t, offsets.data(), j, scratch.data());
-      for (int e = 0; e < num_exprs; ++e) {
-        const Fr expect =
-            exprs[e].Evaluate([&](const ColumnQuery& q) { return naive_resolve(q, j); });
-        const Fr got = graph.Value(roots[e], t, offsets.data(), j, scratch.data());
-        ASSERT_TRUE(got == expect) << "trial " << trial << " expr " << e << " row " << j;
-      }
-    }
-
-    // Block-mode execution (what the prover runs) must agree row for row,
-    // including ragged final blocks and blocks whose rotations wrap.
+    // Block-mode execution (what the prover runs) must agree row for row
+    // with the naive AST walk, including ragged final blocks and blocks whose
+    // rotations wrap (BlockSeries then materializes the window).
     constexpr size_t kStride = 24;  // not a divisor of kSize: exercises ragged tail
     std::vector<Fr> block_scratch(graph.num_intermediates() * kStride);
+    std::vector<Fr> tmp(kStride);
     for (size_t j0 = 0; j0 < kSize; j0 += kStride) {
       const size_t cnt = std::min(kStride, kSize - j0);
       graph.EvaluateBlock(t, offsets.data(), j0, cnt, kStride, block_scratch.data());
-      for (size_t r = 0; r < cnt; ++r) {
-        for (int e = 0; e < num_exprs; ++e) {
+      for (int e = 0; e < num_exprs; ++e) {
+        const Fr* got = graph.BlockSeries(roots[e], t, offsets.data(), j0, cnt, kStride,
+                                          block_scratch.data(), tmp.data());
+        for (size_t r = 0; r < cnt; ++r) {
           const Fr expect = exprs[e].Evaluate(
               [&](const ColumnQuery& q) { return naive_resolve(q, j0 + r); });
-          const Fr got = graph.BlockValue(roots[e], t, offsets.data(), j0, r, kStride,
-                                          block_scratch.data());
-          ASSERT_TRUE(got == expect)
+          ASSERT_TRUE(got[r] == expect)
               << "block trial " << trial << " expr " << e << " row " << (j0 + r);
         }
       }

@@ -399,6 +399,57 @@ TEST(ServeTest, ShardedProveReturnsVerifiableArtifact) {
   server.Stop();
 }
 
+TEST(ServeTest, ShardedRequestCompilesShardsConcurrentlyThroughTheCache) {
+  ServeOptions options = FastServe();
+  options.trace_sample_every = 1;
+  ZkmlServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  ZkmlClient client = MustConnect(server);
+  ProveRequest req;
+  req.model_text = MnistText();
+  req.seed = 53;
+  req.shards = 2;
+  StatusOr<ZkmlClient::ProveOutcome> first = client.Prove(req, 1, kProveWaitMs);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first->ok) << first->error.ToString();
+  EXPECT_EQ(first->response.cache_hit, 0);
+
+  // The sampled trace holds one "compile" span per shard under serve.compile,
+  // and they overlap in time: the shards compile concurrently.
+  const std::vector<obs::Json> traces = server.trace_ring().Snapshot();
+  ASSERT_EQ(traces.size(), 1u);
+  const obs::Json* spans = traces[0].Find("spans");
+  ASSERT_NE(spans, nullptr);
+  std::map<int64_t, const obs::Json*> by_id;
+  for (const obs::Json& span : spans->items()) by_id[span.Find("id")->AsInt()] = &span;
+  auto under_serve_compile = [&](const obs::Json& span) {
+    for (auto it = by_id.find(span.Find("parent")->AsInt()); it != by_id.end();
+         it = by_id.find(it->second->Find("parent")->AsInt())) {
+      if (it->second->Find("name")->AsString() == "serve.compile") return true;
+    }
+    return false;
+  };
+  std::vector<std::pair<double, double>> compiles;  // [start, end) in us
+  for (const obs::Json& span : spans->items()) {
+    if (span.Find("name")->AsString() == "compile" && under_serve_compile(span)) {
+      const double start = span.Find("start_us")->AsDouble();
+      compiles.emplace_back(start, start + span.Find("dur_us")->AsDouble());
+    }
+  }
+  ASSERT_EQ(compiles.size(), 2u);
+  EXPECT_LT(compiles[0].first, compiles[1].second);
+  EXPECT_LT(compiles[1].first, compiles[0].second);
+
+  // A repeat request finds both shard keys in the cache.
+  StatusOr<ZkmlClient::ProveOutcome> second = client.Prove(req, 2, kProveWaitMs);
+  ASSERT_TRUE(second.ok() && second->ok);
+  EXPECT_EQ(second->response.cache_hit, 1);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.cache_misses, 2u);
+  EXPECT_EQ(stats.cache_hits, 2u);
+  server.Stop();
+}
+
 // --- Batched proving over the wire (protocol v3). ---
 
 TEST(ServeWireTest, ProvePayloadsRoundTripBatchCount) {

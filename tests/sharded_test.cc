@@ -1,5 +1,5 @@
-// End-to-end tests for sharded proving (src/zkml/sharded.h): compile/prove/
-// verify under both commitment backends, artifact codec round-trips, composite
+// End-to-end tests for sharded proving (src/zkml/sharded.h), proved through
+// the planner: compile/prove/verify under both commitment backends, artifact codec round-trips, composite
 // statement compatibility with the single-circuit pipeline, wrong-statement
 // rejection with stage attribution, and the telemetry report schema.
 #include <gtest/gtest.h>
@@ -36,6 +36,13 @@ Model TinyChain() {
   return mb.Finish(t);
 }
 
+// Proves through the planner with the circuits CompileSharded built.
+StatusOr<PlannedProof> ProveSharded(const Model& model, const CompiledShardedModel& compiled,
+                                    const Tensor<int64_t>& input) {
+  ZKML_ASSIGN_OR_RETURN(ProofPlan plan, PlanProof(model, compiled.num_shards(), 0));
+  return plan.Prove(compiled.shards, {input});
+}
+
 class ShardedTest : public ::testing::TestWithParam<PcsKind> {};
 
 TEST_P(ShardedTest, ProveVerifyRoundTrip) {
@@ -46,23 +53,25 @@ TEST_P(ShardedTest, ProveVerifyRoundTrip) {
   ASSERT_EQ(compiled->num_shards(), 2u);
 
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 11), model.quant);
-  const StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input);
+  const StatusOr<PlannedProof> proof = ProveSharded(model, *compiled, input);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
+  const StatusOr<CompositeProof> artifact = DecodeCompositeProof(proof->artifact);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
 
   // k shards -> k+1 boundary vectors; the composite statement is the outer
   // pair, exactly what the single-circuit verifier would see.
-  ASSERT_EQ(proof->artifact.segments.size(), 3u);
-  ASSERT_EQ(proof->artifact.proofs.size(), 2u);
+  ASSERT_EQ(artifact->segments.size(), 3u);
+  ASSERT_EQ(artifact->proofs.size(), 2u);
   EXPECT_EQ(proof->instance.size(),
-            proof->artifact.segments.front().size() + proof->artifact.segments.back().size());
+            artifact->segments.front().size() + artifact->segments.back().size());
 
   // The proven output equals the quantized reference execution.
   const Tensor<int64_t> expected = RunQuantized(model, input);
-  EXPECT_EQ(proof->output_q.ToVector(), expected.ToVector());
+  ASSERT_EQ(proof->outputs.size(), 1u);
+  EXPECT_EQ(proof->outputs[0], expected.ToVector());
 
-  const std::vector<uint8_t> artifact = EncodeCompositeProof(proof->artifact);
-  EXPECT_EQ(CompositeKindOf(artifact), CompositeKind::kSharded);
-  const VerifyResult r = VerifySharded(*compiled, proof->instance, artifact);
+  EXPECT_EQ(CompositeKindOf(proof->artifact), CompositeKind::kSharded);
+  const VerifyResult r = VerifySharded(*compiled, proof->instance, proof->artifact);
   EXPECT_TRUE(r.ok()) << r.ToString();
 }
 
@@ -76,7 +85,7 @@ TEST_P(ShardedTest, CompositeInstanceMatchesSingleCircuitStatement) {
   const CompiledModel single = CompileModel(model, options);
 
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 5), model.quant);
-  const StatusOr<ShardedProof> proof = CreateShardedProof(*sharded, input);
+  const StatusOr<PlannedProof> proof = ProveSharded(model, *sharded, input);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
   const ZkmlProof single_proof = Prove(single, input);
   EXPECT_EQ(proof->instance, single_proof.instance);
@@ -88,9 +97,9 @@ TEST_P(ShardedTest, WrongStatementRejectedAtStitchStage) {
       CompileSharded(model, 2, FastOptions(GetParam()));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 13), model.quant);
-  const StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input);
+  const StatusOr<PlannedProof> proof = ProveSharded(model, *compiled, input);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
-  const std::vector<uint8_t> artifact = EncodeCompositeProof(proof->artifact);
+  const std::vector<uint8_t>& artifact = proof->artifact;
 
   // Claiming a different output must fail before any shard is verified: the
   // artifact's outer boundary disagrees with the statement.
@@ -114,10 +123,10 @@ TEST_P(ShardedTest, ReportJsonCarriesSchemaAndPerShardTimings) {
       CompileSharded(model, 2, FastOptions(GetParam()));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 17), model.quant);
-  const StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input);
+  const StatusOr<PlannedProof> proof = ProveSharded(model, *compiled, input);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
 
-  const obs::Json report = ShardedReportJson(*compiled, *proof);
+  const obs::Json& report = proof->report;
   ASSERT_NE(report.Find("schema"), nullptr);
   EXPECT_EQ(report.Find("schema")->AsString(), kShardedProofSchema);
   // Round-trips through the JSON parser (telemetry-validate consumes this).
@@ -136,15 +145,16 @@ TEST(ShardedCodecTest, DecodeRoundTripAndMalformedRejection) {
       CompileSharded(model, 2, FastOptions(PcsKind::kKzg));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 23), model.quant);
-  const StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input);
+  const StatusOr<PlannedProof> proof = ProveSharded(model, *compiled, input);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
 
-  const std::vector<uint8_t> artifact = EncodeCompositeProof(proof->artifact);
+  const std::vector<uint8_t>& artifact = proof->artifact;
   const StatusOr<CompositeProof> decoded = DecodeCompositeProof(artifact);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->kind, CompositeKind::kSharded);
-  EXPECT_EQ(decoded->segments, proof->artifact.segments);
-  EXPECT_EQ(decoded->proofs, proof->artifact.proofs);
+  EXPECT_EQ(decoded->segments.size(), 3u);
+  EXPECT_EQ(decoded->proofs.size(), 2u);
+  EXPECT_EQ(EncodeCompositeProof(*decoded), artifact);
 
   // Truncation at any prefix must be rejected, never crash.
   for (const size_t len : {size_t{0}, size_t{3}, size_t{8}, artifact.size() / 2,

@@ -509,6 +509,13 @@ Model TinyChainModel() {
   return mb.Finish(t);
 }
 
+// Proves through the planner with the circuits CompileSharded built.
+StatusOr<PlannedProof> ProveSharded(const Model& model, const CompiledShardedModel& compiled,
+                                    const Tensor<int64_t>& input) {
+  ZKML_ASSIGN_OR_RETURN(ProofPlan plan, PlanProof(model, compiled.num_shards(), 0));
+  return plan.Prove(compiled.shards, {input});
+}
+
 class ShardedForgeryTest : public ::testing::TestWithParam<PcsKind> {};
 
 TEST_P(ShardedForgeryTest, MutatedBoundaryActivationRejected) {
@@ -517,18 +524,19 @@ TEST_P(ShardedForgeryTest, MutatedBoundaryActivationRejected) {
       CompileSharded(model, 2, FastShardedOptions(GetParam()));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 11), model.quant);
-  const StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input);
+  const StatusOr<PlannedProof> proof = ProveSharded(model, *compiled, input);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
-  ASSERT_TRUE(VerifySharded(*compiled, proof->instance, EncodeCompositeProof(proof->artifact)).ok());
+  ASSERT_TRUE(VerifySharded(*compiled, proof->instance, proof->artifact).ok());
 
   // Forge the interior boundary: the activation shard 0 claims to hand to
   // shard 1. Both shards read the same stored vector, so the lie must be
   // caught by a shard's own instance check — with the culprit named.
-  ShardedProof forged = *proof;
-  ASSERT_EQ(forged.artifact.segments.size(), 3u);
-  forged.artifact.segments[1][0] += Fr::One();
+  StatusOr<CompositeProof> forged = DecodeCompositeProof(proof->artifact);
+  ASSERT_TRUE(forged.ok()) << forged.status().ToString();
+  ASSERT_EQ(forged->segments.size(), 3u);
+  forged->segments[1][0] += Fr::One();
   const VerifyResult r =
-      VerifySharded(*compiled, forged.instance, EncodeCompositeProof(forged.artifact));
+      VerifySharded(*compiled, proof->instance, EncodeCompositeProof(*forged));
   ASSERT_FALSE(r.ok()) << "forged boundary activation accepted";
   EXPECT_NE(r.stage, VerifyStage::kAccepted);
   EXPECT_NE(r.ToString().find("shard"), std::string::npos) << r.ToString();
@@ -540,15 +548,16 @@ TEST_P(ShardedForgeryTest, MutatedOuterBoundaryRejectedAtStitchStage) {
       CompileSharded(model, 2, FastShardedOptions(GetParam()));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 19), model.quant);
-  const StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input);
+  const StatusOr<PlannedProof> proof = ProveSharded(model, *compiled, input);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
 
   // Forge the artifact's copy of the model input while keeping the claimed
   // statement honest: the outer-boundary consistency check fires first.
-  ShardedProof forged = *proof;
-  forged.artifact.segments.front()[0] += Fr::One();
+  StatusOr<CompositeProof> forged = DecodeCompositeProof(proof->artifact);
+  ASSERT_TRUE(forged.ok()) << forged.status().ToString();
+  forged->segments.front()[0] += Fr::One();
   const VerifyResult r =
-      VerifySharded(*compiled, proof->instance, EncodeCompositeProof(forged.artifact));
+      VerifySharded(*compiled, proof->instance, EncodeCompositeProof(*forged));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.stage, VerifyStage::kShardStitch) << r.ToString();
 }
@@ -670,15 +679,16 @@ TEST(ShardedForgeryTest2, KzgForgedOpeningCaughtOnlyByAggregateCheck) {
       CompileSharded(model, 2, FastShardedOptions(PcsKind::kKzg));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 23), model.quant);
-  const StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input);
+  const StatusOr<PlannedProof> proof = ProveSharded(model, *compiled, input);
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
 
-  ShardedProof forged = *proof;
-  std::vector<uint8_t>& pb = forged.artifact.proofs[0];
+  StatusOr<CompositeProof> forged = DecodeCompositeProof(proof->artifact);
+  ASSERT_TRUE(forged.ok()) << forged.status().ToString();
+  std::vector<uint8_t>& pb = forged->proofs[0];
   ASSERT_GE(pb.size(), 33u);
   pb[pb.size() - 33] ^= 0x01;  // compressed G1 prefix: y -> -y
   const VerifyResult r =
-      VerifySharded(*compiled, forged.instance, EncodeCompositeProof(forged.artifact));
+      VerifySharded(*compiled, proof->instance, EncodeCompositeProof(*forged));
   ASSERT_FALSE(r.ok()) << "negated KZG witness point accepted";
   EXPECT_EQ(r.stage, VerifyStage::kShardAggregate) << r.ToString();
 }
