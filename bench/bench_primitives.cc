@@ -369,15 +369,8 @@ BENCHMARK(BM_QuotientLegacy)->DenseRange(12, 16, 2)->Unit(benchmark::kMillisecon
 
 // --- Commitments from evaluation form vs. interpolate-then-commit ---------
 
-void BM_CommitLagrange(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const size_t n = static_cast<size_t>(1) << k;
-  KzgPcs pcs(std::make_shared<KzgSetup>(KzgSetup::Create(n, 11)));
-  Rng rng(8);
-  std::vector<Fr> evals(n);
-  for (Fr& e : evals) {
-    e = Fr::Random(rng);
-  }
+void CommitLagrangeBench(benchmark::State& state, const std::vector<Fr>& evals) {
+  KzgPcs pcs(std::make_shared<KzgSetup>(KzgSetup::Create(evals.size(), 11)));
   // Warm the Lagrange-basis cache: the G1 FFT is a one-time per-setup cost
   // (paid at keygen in the prover), not a per-commit cost.
   benchmark::DoNotOptimize(pcs.CommitLagrange(evals));
@@ -385,9 +378,48 @@ void BM_CommitLagrange(benchmark::State& state) {
     PcsCommitment c = pcs.CommitLagrange(evals);
     benchmark::DoNotOptimize(c);
   }
-  state.counters["size"] = static_cast<double>(n);
+  state.counters["size"] = static_cast<double>(evals.size());
+}
+
+void BM_CommitLagrange(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(1) << state.range(0);
+  Rng rng(8);
+  std::vector<Fr> evals(n);
+  for (Fr& e : evals) {
+    e = Fr::Random(rng);
+  }
+  CommitLagrangeBench(state, evals);
 }
 BENCHMARK(BM_CommitLagrange)->DenseRange(10, 14, 2)->Unit(benchmark::kMillisecond);
+
+// Low-cardinality columns, the shape of the prover's lookup helpers and
+// running sums: `distinct(n)` random values, each entry drawn from them. Msm
+// sums the bases of equal scalars first when that is cheaper, so d = 2 and
+// d = n/64 should sit far below BM_CommitLagrange and d = n on it.
+void BM_CommitLagrangeDistinct(benchmark::State& state, size_t (*distinct)(size_t)) {
+  const size_t n = static_cast<size_t>(1) << state.range(0);
+  Rng rng(8);
+  std::vector<Fr> values(distinct(n));
+  for (Fr& v : values) {
+    v = Fr::Random(rng);
+  }
+  std::vector<Fr> evals(n);
+  for (Fr& e : evals) {
+    e = values[rng.NextBelow(values.size())];
+  }
+  state.counters["distinct"] = static_cast<double>(values.size());
+  CommitLagrangeBench(state, evals);
+}
+BENCHMARK_CAPTURE(BM_CommitLagrangeDistinct, distinct_2, [](size_t) -> size_t { return 2; })
+    ->DenseRange(10, 14, 2)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CommitLagrangeDistinct, distinct_n_over_64,
+                  [](size_t n) -> size_t { return n / 64; })
+    ->DenseRange(10, 14, 2)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CommitLagrangeDistinct, distinct_n, [](size_t n) -> size_t { return n; })
+    ->DenseRange(10, 14, 2)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CommitViaIfft(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

@@ -192,12 +192,11 @@ int RunLoad(const LoadgenOptions& opt, const std::string& model_text) {
   const auto t0 = std::chrono::steady_clock::now();
 
   auto worker = [&](int wid) {
-    StatusOr<ZkmlClient> client = ZkmlClient::Connect(opt.host, opt.port, opt.timeout_ms);
-    if (!client.ok()) {
-      std::lock_guard<std::mutex> lock(out.mu);
-      out.transport += 1;
-      return;
-    }
+    // Connected when a claimed request finds no connection: at the first
+    // request and after every transport error. A request whose connect fails
+    // counts as one transport error, so every claimed request is counted
+    // exactly once and a worker never counts one it did not take.
+    StatusOr<ZkmlClient> client = IoError("not connected");
     for (;;) {
       const int i = next_request.fetch_add(1);
       if (i >= opt.requests) return;
@@ -209,6 +208,9 @@ int RunLoad(const LoadgenOptions& opt, const std::string& model_text) {
         due = t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                        std::chrono::duration<double>(static_cast<double>(i) / opt.rate));
         std::this_thread::sleep_until(due);
+      }
+      if (!client.ok()) {
+        client = ZkmlClient::Connect(opt.host, opt.port, opt.timeout_ms);
       }
       serve::ProveRequest req;
       req.model_text = model_text;
@@ -231,7 +233,8 @@ int RunLoad(const LoadgenOptions& opt, const std::string& model_text) {
               ? std::max(0.0, std::chrono::duration<double>(start - due).count())
               : 0.0;
       StatusOr<ZkmlClient::ProveOutcome> result =
-          client->Prove(req, static_cast<uint64_t>(i) + 1, opt.timeout_ms);
+          client.ok() ? client->Prove(req, static_cast<uint64_t>(i) + 1, opt.timeout_ms)
+                      : StatusOr<ZkmlClient::ProveOutcome>(client.status());
       const double secs =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - latency_origin)
               .count();
@@ -239,9 +242,9 @@ int RunLoad(const LoadgenOptions& opt, const std::string& model_text) {
       if (opt.rate > 0) out.send_lags_s.push_back(send_lag_s);
       if (!result.ok()) {
         out.transport += 1;
-        // The connection is unusable after a transport error; reconnect.
-        client = ZkmlClient::Connect(opt.host, opt.port, opt.timeout_ms);
-        if (!client.ok()) return;
+        // The connection is unusable after a transport error; the next
+        // request reconnects.
+        client = result.status();
         continue;
       }
       if (result->ok) {

@@ -1,6 +1,7 @@
 #include "src/ec/g1.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/base/check.h"
 #include "src/base/kernel_stats.h"
@@ -303,20 +304,20 @@ constexpr size_t kMsmSerialThreshold = 1024;
 // bits over twice the point count.
 int NumWindows(int c) { return (Glv::kGlvBits + 1 + c - 1) / c; }
 
-// Picks the signed-window width minimizing the Pippenger cost model:
-// NumWindows(c) windows, each costing ~2n batched-affine adds (≈6 field muls
-// amortized, over the GLV-doubled point set) plus 2^{c-1} bucket-aggregation
-// Jacobian adds (≈26 muls).
+// Pippenger cost model in field muls: NumWindows(c) windows, each costing ~2n
+// batched-affine adds (≈6 field muls amortized, over the GLV-doubled point
+// set) plus 2^{c-1} bucket-aggregation Jacobian adds (≈26 muls).
+double PippengerCost(size_t n, int c) {
+  return static_cast<double>(NumWindows(c)) *
+         (static_cast<double>(2 * n) * 6.0 + static_cast<double>(1ULL << (c - 1)) * 26.0);
+}
+
+// Picks the signed-window width minimizing PippengerCost.
 int ChooseWindowBits(size_t n) {
   int best_c = 4;
-  double best_cost = 0;
-  for (int c = 4; c <= 15; ++c) {
-    const double cost =
-        static_cast<double>(NumWindows(c)) *
-        (static_cast<double>(2 * n) * 6.0 + static_cast<double>(1ULL << (c - 1)) * 26.0);
-    if (c == 4 || cost < best_cost) {
+  for (int c = 5; c <= 15; ++c) {
+    if (PippengerCost(n, c) < PippengerCost(n, best_c)) {
       best_c = c;
-      best_cost = cost;
     }
   }
   return best_c;
@@ -664,9 +665,187 @@ G1 AccumulateWindowChunk(const ExtBases& ext, const int16_t* wdigits, size_t lo,
   return acc;
 }
 
+// Group id of a point whose scalar is zero: it contributes nothing.
+constexpr uint32_t kSkipPoint = UINT32_MAX;
+
+// Assigns each scalar the index of its value among the distinct nonzero
+// scalars (kSkipPoint for zero) and collects those values in first-seen
+// order. Returns false as soon as more than max_distinct values appear, so
+// random scalars cost at most max_distinct table inserts. Runs of equal
+// scalars (the common shape of piecewise-constant columns) skip the table.
+bool GroupScalars(const Fr* scalars, size_t n, size_t max_distinct, std::vector<uint32_t>* ids,
+                  std::vector<Fr>* values) {
+  int bits = 4;
+  while ((static_cast<size_t>(1) << bits) < 2 * max_distinct + 2) {
+    ++bits;  // load factor stays at most 1/2
+  }
+  const size_t mask = (static_cast<size_t>(1) << bits) - 1;
+  std::vector<uint32_t> table(mask + 1, 0);  // 1 + index into values; 0 = empty
+  ids->resize(n);
+  values->clear();
+  uint32_t last = kSkipPoint;
+  for (size_t i = 0; i < n; ++i) {
+    const Fr& s = scalars[i];
+    if (s.IsZero()) {
+      (*ids)[i] = kSkipPoint;
+      continue;
+    }
+    if (last != kSkipPoint && (*values)[last] == s) {
+      (*ids)[i] = last;
+      continue;
+    }
+    const uint64_t* l = s.MontgomeryForm().limbs;
+    size_t slot = static_cast<size_t>(((l[0] ^ l[1] ^ l[2] ^ l[3]) * 0x9e3779b97f4a7c15ULL) >>
+                                      (64 - bits));
+    for (;;) {
+      const uint32_t e = table[slot];
+      if (e == 0) {
+        if (values->size() == max_distinct) {
+          return false;
+        }
+        values->push_back(s);
+        last = static_cast<uint32_t>(values->size() - 1);
+        table[slot] = last + 1;
+        break;
+      }
+      if ((*values)[e - 1] == s) {
+        last = e - 1;
+        break;
+      }
+      slot = (slot + 1) & mask;
+    }
+    (*ids)[i] = last;
+  }
+  return true;
+}
+
+// out[d] = sum of the points i in [lo, hi) with ids[i] == d (identity points
+// and kSkipPoint ids contribute nothing; a group that cancels, or has no
+// points, yields the identity). One ReduceBucketChains pass with one chain
+// per group, so every add of the pass shares one batch inversion per round.
+void SumGroups(const G1Affine* points, const uint32_t* ids, size_t lo, size_t hi,
+               size_t num_groups, G1Affine* out) {
+  std::vector<uint32_t> cnt(num_groups, 0);
+  for (size_t i = lo; i < hi; ++i) {
+    if (ids[i] != kSkipPoint && !points[i].infinity) {
+      ++cnt[ids[i]];
+    }
+  }
+  std::vector<uint32_t> start(num_groups);
+  uint32_t total = 0;
+  for (size_t d = 0; d < num_groups; ++d) {
+    start[d] = total;
+    total += cnt[d];
+  }
+  SoAPoints pts;
+  pts.Resize(total);
+  std::vector<uint32_t> fill = start;
+  for (size_t i = lo; i < hi; ++i) {
+    if (ids[i] != kSkipPoint && !points[i].infinity) {
+      const uint32_t slot = fill[ids[i]]++;
+      pts.x[slot] = points[i].x;
+      pts.y[slot] = points[i].y;
+    }
+  }
+  AffineAddScratch scratch;
+  scratch.Ensure(total / 2 + 1);
+  ReduceBucketChains(pts, start, cnt, 0, num_groups, scratch);
+  for (size_t d = 0; d < num_groups; ++d) {
+    out[d] = G1Affine::Identity();
+    if (cnt[d] > 0 && pts.alive[start[d]]) {
+      out[d] = G1Affine{pts.x[start[d]], pts.y[start[d]], /*infinity=*/false};
+    }
+  }
+}
+
+// Msm without the kernel counter, for the top-level call and its grouped
+// inner MSM alike.
+G1 MsmPippenger(const G1Affine* bases, const Fr* scalars, size_t n) {
+  if (n == 0) {
+    return G1::Identity();
+  }
+  if (n < 32) {
+    G1 acc;
+    for (size_t i = 0; i < n; ++i) {
+      acc += G1::FromAffine(bases[i]).ScalarMul(scalars[i]);
+    }
+    return acc;
+  }
+  const int c = ChooseWindowBits(n);
+  const int num_windows = NumWindows(c);
+  // Window tasks are the first parallelism axis; when the pool is wider than
+  // the window count, split the point range into per-thread chunks whose
+  // bucket sums merge at the end (window sums are linear in the points).
+  const size_t threads = ThreadPool::Global().num_threads();
+  size_t num_chunks = 1;
+  if (threads > static_cast<size_t>(num_windows)) {
+    num_chunks = std::min((threads + num_windows - 1) / static_cast<size_t>(num_windows),
+                          std::max<size_t>(1, n / 2048));
+  }
+  return internal::MsmImpl(bases, scalars, n, c, num_chunks);
+}
+
 }  // namespace
 
 namespace internal {
+
+size_t MaxGroupedDistinct(size_t n) {
+  // Grouping costs one batched-affine add per point (~6 muls) plus Pippenger
+  // over the D group sums. It must come in at half the full Pippenger cost:
+  // the margin pays for the hashing and point fill the model leaves out.
+  const double budget =
+      PippengerCost(n, ChooseWindowBits(n)) / 2 - 6.0 * static_cast<double>(n);
+  size_t lo = 0;  // largest D known to fit, or 0
+  size_t hi = n + 1;
+  while (hi - lo > 1) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (PippengerCost(mid, ChooseWindowBits(mid)) <= budget) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+std::optional<G1> MsmGrouped(const G1Affine* bases, const Fr* scalars, size_t n,
+                             size_t max_distinct) {
+  std::vector<uint32_t> ids;
+  std::vector<Fr> values;
+  if (!GroupScalars(scalars, n, max_distinct, &ids, &values)) {
+    return std::nullopt;
+  }
+  const size_t num_groups = values.size();
+  // Split the point range across the pool like MsmPippenger's point chunks;
+  // a second SumGroups over the chunk-major partial sums merges them.
+  const size_t threads = ThreadPool::Global().num_threads();
+  size_t num_chunks = 1;
+  if (n >= kMsmSerialThreshold && threads > 1) {
+    num_chunks = std::max<size_t>(1, std::min(threads, n / 2048));
+  }
+  std::vector<G1Affine> sums(num_groups);
+  if (num_chunks == 1) {
+    SumGroups(bases, ids.data(), 0, n, num_groups, sums.data());
+  } else {
+    const size_t chunk = (n + num_chunks - 1) / num_chunks;
+    std::vector<G1Affine> partial(num_chunks * num_groups);
+    {
+      TaskGroup group;
+      for (size_t k = 0; k < num_chunks; ++k) {
+        group.Submit([&, k] {
+          SumGroups(bases, ids.data(), k * chunk, std::min(n, (k + 1) * chunk), num_groups,
+                    &partial[k * num_groups]);
+        });
+      }
+    }
+    std::vector<uint32_t> partial_ids(partial.size());
+    for (size_t i = 0; i < partial.size(); ++i) {
+      partial_ids[i] = static_cast<uint32_t>(i % num_groups);
+    }
+    SumGroups(partial.data(), partial_ids.data(), 0, partial.size(), num_groups, sums.data());
+  }
+  return MsmPippenger(sums.data(), values.data(), num_groups);
+}
 
 G1 MsmImpl(const G1Affine* bases, const Fr* scalars, size_t n, int c, size_t num_chunks) {
   const Glv& glv = Glv::Get();
@@ -763,28 +942,11 @@ G1 MsmImpl(const G1Affine* bases, const Fr* scalars, size_t n, int c, size_t num
 
 G1 Msm(const G1Affine* bases, const Fr* scalars, size_t n) {
   kernelstats::RecordMsm(n);
-  if (n == 0) {
-    return G1::Identity();
+  if (std::optional<G1> grouped =
+          internal::MsmGrouped(bases, scalars, n, internal::MaxGroupedDistinct(n))) {
+    return *grouped;
   }
-  if (n < 32) {
-    G1 acc;
-    for (size_t i = 0; i < n; ++i) {
-      acc += G1::FromAffine(bases[i]).ScalarMul(scalars[i]);
-    }
-    return acc;
-  }
-  const int c = ChooseWindowBits(n);
-  const int num_windows = NumWindows(c);
-  // Window tasks are the first parallelism axis; when the pool is wider than
-  // the window count, split the point range into per-thread chunks whose
-  // bucket sums merge at the end (window sums are linear in the points).
-  const size_t threads = ThreadPool::Global().num_threads();
-  size_t num_chunks = 1;
-  if (threads > static_cast<size_t>(num_windows)) {
-    num_chunks = std::min((threads + num_windows - 1) / static_cast<size_t>(num_windows),
-                          std::max<size_t>(1, n / 2048));
-  }
-  return internal::MsmImpl(bases, scalars, n, c, num_chunks);
+  return MsmPippenger(bases, scalars, n);
 }
 
 G1 Msm(const std::vector<G1Affine>& bases, const std::vector<Fr>& scalars) {

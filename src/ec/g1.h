@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -77,7 +78,10 @@ G1 GeneratorMul(const Fr& s);
 
 // Multi-scalar multiplication sum_i scalars[i] * bases[i] using a parallel
 // Pippenger bucket method with signed windows and batched-affine bucket
-// accumulation. bases and scalars must have equal length.
+// accumulation. When the scalars take few distinct values (lookup helper
+// columns, multiplicities, piecewise-constant sums), the bases sharing a
+// value are summed first and Pippenger runs over one base per value; the
+// result is the same group element. bases and scalars must have equal length.
 G1 Msm(const std::vector<G1Affine>& bases, const std::vector<Fr>& scalars);
 
 // Pointer form; lets callers commit to slices without copying into vectors.
@@ -88,6 +92,16 @@ namespace internal {
 // Pippenger core with explicit window width c (4..15) and point-range chunk
 // count; exposed so tests can cross-check the chunked-merge path directly.
 G1 MsmImpl(const G1Affine* bases, const Fr* scalars, size_t n, int c, size_t num_chunks);
+
+// The most distinct nonzero scalars an n-point Msm takes the grouped path
+// with: the Pippenger cost-model crossover, with a factor-2 margin.
+size_t MaxGroupedDistinct(size_t n);
+
+// The grouped path: sums the bases of each distinct nonzero scalar, then runs
+// Pippenger over the sums. Returns nullopt when
+// the scalars hold more than max_distinct distinct nonzero values.
+std::optional<G1> MsmGrouped(const G1Affine* bases, const Fr* scalars, size_t n,
+                             size_t max_distinct);
 
 }  // namespace internal
 

@@ -24,6 +24,9 @@ struct PcsCommitment {
 };
 
 // A batch of polynomials opened at one point. `polys` are coefficient vectors.
+// Both backends commit by an unblinded MSM, so commitments are linear:
+// Commit(a*u + v) == a*Commit(u) + Commit(v) as group elements, which the
+// prover uses to commit lookup running sums in pieces.
 class Pcs {
  public:
   virtual ~Pcs() = default;

@@ -6,6 +6,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "src/base/buffer_pool.h"
 #include "src/base/check.h"
@@ -28,6 +29,67 @@ Fr EvalPoly(const std::vector<Fr>& coeffs, const Fr& x) {
     acc = acc * x + coeffs[i];
   }
   return acc;
+}
+
+// The value filling the most entries of v (first-seen on ties). Counts runs,
+// not entries, so a column dominated by one value costs few hash probes.
+Fr MostFrequent(const std::vector<Fr>& v) {
+  std::unordered_map<FrKey, size_t, FrKeyHash> count;
+  Fr best = Fr::Zero();
+  size_t best_count = 0;
+  for (size_t r = 0; r < v.size();) {
+    size_t end = r + 1;
+    while (end < v.size() && v[end] == v[r]) {
+      ++end;
+    }
+    size_t& c = count[FrKey(v[r])];
+    c += end - r;
+    if (c > best_count) {
+      best = v[r];
+      best_count = c;
+    }
+    r = end;
+  }
+  return best;
+}
+
+std::string ColumnName(const Column& c) {
+  const char* type = c.type == ColumnType::kAdvice  ? "advice"
+                     : c.type == ColumnType::kFixed ? "fixed"
+                                                    : "instance";
+  return std::string(type) + " " + std::to_string(c.index);
+}
+
+// Names the first copy constraint the witness breaks. Runs only after the
+// permutation grand product already failed, so it can afford to invert the
+// sigma encoding: sigma_i(r) = delta^j * omega^s points cell (i, r) at (j, s).
+Status CopyMismatchError(const ProvingKey& pk, const Assignment& assignment,
+                         const std::vector<Fr>& delta_pow, size_t chunk_size) {
+  const std::vector<Column>& cols = pk.vk.perm_columns;
+  const EvaluationDomain& dom = *pk.domain;
+  const size_t n = dom.size();
+  std::unordered_map<FrKey, std::pair<size_t, size_t>, FrKeyHash> cell_of;
+  for (size_t i = 0; i < cols.size(); ++i) {
+    for (size_t r = 0; r < n; ++r) {
+      cell_of.emplace(FrKey(delta_pow[i] * dom.element(r)), std::make_pair(i, r));
+    }
+  }
+  for (size_t i = 0; i < cols.size(); ++i) {
+    for (size_t r = 0; r < n; ++r) {
+      const auto it = cell_of.find(FrKey(pk.sigma_values[i][r]));
+      if (it == cell_of.end()) {
+        continue;
+      }
+      const auto [j, s] = it->second;
+      if (assignment.Get(cols[i], r) != assignment.Get(cols[j], s)) {
+        return UnsatisfiedError("copy constraints inconsistent with witness: permutation chunk " +
+                                std::to_string(i / chunk_size) + ": " + ColumnName(cols[i]) +
+                                " row " + std::to_string(r) + " != " + ColumnName(cols[j]) +
+                                " row " + std::to_string(s));
+      }
+    }
+  }
+  return UnsatisfiedError("copy constraints inconsistent with witness");
 }
 
 std::string HumanCount(uint64_t v) {
@@ -118,7 +180,8 @@ std::vector<uint8_t> CreateProof(const ProvingKey& pk, const Pcs& pcs,
                                  const Assignment& assignment, ProverMetrics* metrics) {
   StatusOr<std::vector<uint8_t>> proof =
       CreateProofCancellable(pk, pcs, assignment, /*cancel=*/nullptr, metrics);
-  // Without a token the cancellable core cannot fail.
+  // Without a token the core fails only on a witness that does not satisfy
+  // the circuit, which callers of this wrapper treat as a bug.
   ZKML_CHECK_MSG(proof.ok(), proof.status().ToString().c_str());
   return std::move(proof).value();
 }
@@ -194,6 +257,7 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
   const size_t num_lookups = cs.lookups().size();
   std::vector<std::vector<Fr>> lk_f(num_lookups), lk_t(num_lookups), lk_m(num_lookups);
   std::vector<PcsCommitment> m_comms(num_lookups);
+  std::vector<Status> lookup_status(num_lookups);
   {
     TaskGroup group;
     for (size_t l = 0; l < num_lookups; ++l) {
@@ -223,13 +287,19 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
         lk_m[l].assign(n, Fr::Zero());
         for (size_t r = 0; r < n; ++r) {
           auto it = first_row.find(FrKey(f[r]));
-          ZKML_CHECK_MSG(it != first_row.end(),
-                         ("lookup '" + lk.name + "' input missing").c_str());
+          if (it == first_row.end()) {
+            lookup_status[l] = UnsatisfiedError("lookup '" + lk.name + "' input missing: row " +
+                                                std::to_string(r) + " is not in the table");
+            return;
+          }
           lk_m[l][it->second] += Fr::One();
         }
         m_comms[l] = pcs.CommitLagrange(lk_m[l]);
       });
     }
+  }
+  for (const Status& st : lookup_status) {
+    ZKML_RETURN_IF_ERROR(st);
   }
   for (size_t l = 0; l < num_lookups; ++l) {
     transcript.AppendPoint("lookup-m", m_comms[l].point);
@@ -240,36 +310,15 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
   const Fr beta = transcript.ChallengeFr("beta");
   const Fr gamma = transcript.ChallengeFr("gamma");
 
-  // --- Round 3a: lookup helper h and running sum S. ---
-  std::vector<std::vector<Fr>> lk_h(num_lookups), lk_s(num_lookups);
-  std::vector<PcsCommitment> h_comms(num_lookups), s_comms(num_lookups);
-  {
-    TaskGroup group;
-    for (size_t l = 0; l < num_lookups; ++l) {
-      group.Submit([&, l] {
-        std::vector<Fr> finv(n), tinv(n);
-        for (size_t r = 0; r < n; ++r) {
-          finv[r] = beta + lk_f[l][r];
-          tinv[r] = beta + lk_t[l][r];
-        }
-        BatchInverse(&finv);
-        BatchInverse(&tinv);
-        lk_h[l].resize(n);
-        lk_s[l].assign(n, Fr::Zero());
-        for (size_t r = 0; r < n; ++r) {
-          lk_h[l][r] = finv[r] - lk_m[l][r] * tinv[r];
-          if (r + 1 < n) {
-            lk_s[l][r + 1] = lk_s[l][r] + lk_h[l][r];
-          }
-        }
-        ZKML_DCHECK((lk_s[l][n - 1] + lk_h[l][n - 1]).IsZero());
-        h_comms[l] = pcs.CommitLagrange(lk_h[l]);
-        s_comms[l] = pcs.CommitLagrange(lk_s[l]);
-      });
-    }
-  }
-
-  // --- Round 3b: permutation grand products (chunked, chained). ---
+  // --- Round 3: lookup helpers h, running sums S, permutation products z. ---
+  // Once beta and gamma are drawn every round-3 column is independent: one
+  // fan-out builds them all, a second commits them all.
+  //
+  // S is committed by linearity. With c the most frequent value of h and
+  // I = (0, 1, ..., n-1), S = c*I + S' where S' steps only on rows with
+  // h != c, so S' takes few distinct values and Msm commits it grouped (as it
+  // does h). Both PCS commitments are linear, so c*Commit(I) + Commit(S') is
+  // the same point as Commit(S); Commit(I) is paid once per proof.
   const Fr delta = FrDelta();
   std::vector<Fr> delta_pow(perm_cols.size());
   if (!perm_cols.empty()) {
@@ -278,34 +327,118 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
       delta_pow[i] = delta_pow[i - 1] * delta;
     }
   }
+  std::vector<std::vector<Fr>> lk_h(num_lookups), lk_s(num_lookups);
+  std::vector<Fr> h_mode(num_lookups);
   std::vector<std::vector<Fr>> z_values(num_chunks);
-  std::vector<PcsCommitment> z_comms(num_chunks);
+  std::vector<Fr> chunk_product(num_chunks);
+  {
+    TaskGroup group;
+    for (size_t l = 0; l < num_lookups; ++l) {
+      group.Submit([&, l] {
+        // 1/(beta + f) and 1/(beta + t) overwrite f and t, which are then
+        // released: round 3 keeps no more columns live than it commits.
+        std::vector<Fr>& finv = lk_f[l];
+        std::vector<Fr>& tinv = lk_t[l];
+        for (size_t r = 0; r < n; ++r) {
+          finv[r] = beta + finv[r];
+          tinv[r] = beta + tinv[r];
+        }
+        BatchInverse(&finv);
+        BatchInverse(&tinv);
+        std::vector<Fr>& h = lk_h[l];
+        h.resize(n);
+        for (size_t r = 0; r < n; ++r) {
+          h[r] = finv[r] - lk_m[l][r] * tinv[r];
+        }
+        std::vector<Fr>().swap(finv);
+        std::vector<Fr>().swap(tinv);
+        h_mode[l] = MostFrequent(h);
+        std::vector<Fr>& s = lk_s[l];  // S' here; S again after its commit
+        s.assign(n, Fr::Zero());
+        for (size_t r = 0; r + 1 < n; ++r) {
+          s[r + 1] = s[r] + (h[r] - h_mode[l]);
+        }
+      });
+    }
+    for (size_t c = 0; c < num_chunks; ++c) {
+      group.Submit([&, c] {
+        const size_t col_begin = c * static_cast<size_t>(chunk_size);
+        const size_t col_end = std::min(perm_cols.size(), col_begin + chunk_size);
+        std::vector<Fr>& num = z_values[c];
+        num.assign(n, Fr::One());
+        std::vector<Fr> den(n, Fr::One());
+        for (size_t i = col_begin; i < col_end; ++i) {
+          for (size_t r = 0; r < n; ++r) {
+            const Fr f = assignment.Get(perm_cols[i], r);
+            num[r] *= f + beta * delta_pow[i] * dom.element(r) + gamma;
+            den[r] *= f + beta * pk.sigma_values[i][r] + gamma;
+          }
+        }
+        BatchInverse(&den);
+        // The chunk's own prefix product, in place over num; the product of
+        // the earlier chunks is multiplied in before the commit.
+        Fr acc = Fr::One();
+        for (size_t r = 0; r < n; ++r) {
+          const Fr step = num[r] * den[r];
+          num[r] = acc;
+          acc *= step;
+        }
+        chunk_product[c] = acc;
+      });
+    }
+  }
+  std::vector<Fr> chunk_start(num_chunks);
   {
     Fr acc = Fr::One();
     for (size_t c = 0; c < num_chunks; ++c) {
-      const size_t col_begin = c * static_cast<size_t>(chunk_size);
-      const size_t col_end = std::min(perm_cols.size(), col_begin + chunk_size);
-      std::vector<Fr> num(n, Fr::One());
-      std::vector<Fr> den(n, Fr::One());
-      for (size_t i = col_begin; i < col_end; ++i) {
-        for (size_t r = 0; r < n; ++r) {
-          const Fr f = assignment.Get(perm_cols[i], r);
-          num[r] *= f + beta * delta_pow[i] * dom.element(r) + gamma;
-          den[r] *= f + beta * pk.sigma_values[i][r] + gamma;
-        }
-      }
-      BatchInverse(&den);
-      z_values[c].resize(n);
-      for (size_t r = 0; r < n; ++r) {
-        z_values[c][r] = acc;
-        acc *= num[r] * den[r];
-      }
+      chunk_start[c] = acc;
+      acc *= chunk_product[c];
     }
-    ZKML_CHECK_MSG(num_chunks == 0 || acc == Fr::One(),
-                   "copy constraints inconsistent with witness");
+    if (num_chunks > 0 && acc != Fr::One()) {
+      return CopyMismatchError(pk, assignment, delta_pow, static_cast<size_t>(chunk_size));
+    }
   }
-  for (size_t c = 0; c < num_chunks; ++c) {
-    z_comms[c] = pcs.CommitLagrange(z_values[c]);
+
+  std::vector<PcsCommitment> h_comms(num_lookups), s_comms(num_lookups), z_comms(num_chunks);
+  PcsCommitment index_comm;
+  {
+    TaskGroup group;
+    if (num_lookups > 0) {
+      group.Submit([&] {
+        std::vector<Fr> index(n);
+        for (size_t r = 0; r < n; ++r) {
+          index[r] = Fr::FromU64(r);
+        }
+        index_comm = pcs.CommitLagrange(index);
+      });
+    }
+    for (size_t l = 0; l < num_lookups; ++l) {
+      group.Submit([&, l] {
+        h_comms[l] = pcs.CommitLagrange(lk_h[l]);
+        s_comms[l] = pcs.CommitLagrange(lk_s[l]);
+        Fr c_r = Fr::Zero();  // c * r
+        for (size_t r = 0; r < n; ++r) {
+          lk_s[l][r] += c_r;
+          c_r += h_mode[l];
+        }
+        ZKML_DCHECK((lk_s[l][n - 1] + lk_h[l][n - 1]).IsZero());
+      });
+    }
+    for (size_t c = 0; c < num_chunks; ++c) {
+      group.Submit([&, c] {
+        if (c > 0) {
+          for (Fr& z : z_values[c]) {
+            z *= chunk_start[c];
+          }
+        }
+        z_comms[c] = pcs.CommitLagrange(z_values[c]);
+      });
+    }
+  }
+  for (size_t l = 0; l < num_lookups; ++l) {
+    s_comms[l].point = (G1::FromAffine(index_comm.point).ScalarMul(h_mode[l]) +
+                        G1::FromAffine(s_comms[l].point))
+                           .ToAffine();
   }
 
   for (size_t l = 0; l < num_lookups; ++l) {
@@ -341,15 +474,22 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
     for (size_t i = 0; i < num_instance; ++i) {
       group.Submit([&, i] { instance_coeffs[i] = dom.IfftToCoeffs(assignment.instance()[i]); });
     }
+    // The evaluation forms of the lookup and z columns are not read again:
+    // release each once it is interpolated, before the coset tables grow.
+    auto interpolate_and_release = [&](std::vector<Fr>& evals) {
+      std::vector<Fr> coeffs = dom.IfftToCoeffs(evals);
+      std::vector<Fr>().swap(evals);
+      return coeffs;
+    };
     for (size_t l = 0; l < num_lookups; ++l) {
       group.Submit([&, l] {
-        m_coeffs[l] = dom.IfftToCoeffs(lk_m[l]);
-        h_coeffs[l] = dom.IfftToCoeffs(lk_h[l]);
-        s_coeffs[l] = dom.IfftToCoeffs(lk_s[l]);
+        m_coeffs[l] = interpolate_and_release(lk_m[l]);
+        h_coeffs[l] = interpolate_and_release(lk_h[l]);
+        s_coeffs[l] = interpolate_and_release(lk_s[l]);
       });
     }
     for (size_t c = 0; c < num_chunks; ++c) {
-      group.Submit([&, c] { z_coeffs[c] = dom.IfftToCoeffs(z_values[c]); });
+      group.Submit([&, c] { z_coeffs[c] = interpolate_and_release(z_values[c]); });
     }
   }
 

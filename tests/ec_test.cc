@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -346,6 +348,134 @@ TEST(GlvTest, MsmHandlesRepeatedBasesAndCancellations) {
             << "n=" << n << " c=" << c << " chunks=" << chunks;
       }
     }
+  }
+}
+
+// --- Grouped-scalar MSM ----------------------------------------------------
+//
+// Scalars with few distinct values take Msm's grouped path: the bases sharing
+// a value are summed, then Pippenger runs over one base per value. Every case
+// below compares it against the ungrouped Pippenger core.
+
+std::vector<G1Affine> RandomBases(Rng& rng, size_t n) {
+  std::vector<G1> jac(n);
+  for (G1& p : jac) {
+    p = GeneratorMul(Fr::Random(rng));
+  }
+  std::vector<G1Affine> out(n);
+  G1::BatchToAffine(jac.data(), n, out.data());
+  return out;
+}
+
+// n scalars drawn from `values`, every value used at least once.
+std::vector<Fr> ScalarsFrom(Rng& rng, const std::vector<Fr>& values, size_t n) {
+  std::vector<Fr> s(n);
+  for (size_t i = 0; i < n; ++i) {
+    s[i] = i < values.size() ? values[i] : values[rng.NextBelow(values.size())];
+  }
+  return s;
+}
+
+std::vector<Fr> DistinctValues(Rng& rng, size_t d) {
+  std::vector<Fr> v(d);
+  for (Fr& x : v) {
+    x = Fr::Random(rng);
+  }
+  return v;
+}
+
+G1 Ungrouped(const std::vector<G1Affine>& bases, const std::vector<Fr>& scalars) {
+  return internal::MsmImpl(bases.data(), scalars.data(), bases.size(), 8, 1);
+}
+
+// Runs the grouped path (with Msm's own cap unless one is given), checks it
+// was taken and agrees with both the ungrouped core and Msm.
+void ExpectGroupedMatches(const std::vector<G1Affine>& bases, const std::vector<Fr>& scalars,
+                          const std::string& what, std::optional<size_t> cap = std::nullopt) {
+  const size_t n = bases.size();
+  const std::optional<G1> grouped = internal::MsmGrouped(
+      bases.data(), scalars.data(), n, cap.value_or(internal::MaxGroupedDistinct(n)));
+  ASSERT_TRUE(grouped.has_value()) << what;
+  const G1 want = Ungrouped(bases, scalars);
+  EXPECT_EQ(*grouped, want) << what;
+  EXPECT_EQ(Msm(bases, scalars), want) << what;
+}
+
+TEST(GroupedMsmTest, CrossoverIsBelowHalfTheSize) {
+  for (size_t n : {size_t{64}, size_t{512}, size_t{4096}, size_t{65536}}) {
+    const size_t d = internal::MaxGroupedDistinct(n);
+    EXPECT_GT(d, 0u) << "n=" << n;
+    EXPECT_LT(d, n / 2) << "n=" << n;
+  }
+}
+
+TEST(GroupedMsmTest, OneAndTwoDistinctValues) {
+  Rng rng(401);
+  const std::vector<G1Affine> bases = RandomBases(rng, 300);
+  ExpectGroupedMatches(bases, std::vector<Fr>(300, Fr::Random(rng)), "D=1");
+  ExpectGroupedMatches(bases, ScalarsFrom(rng, DistinctValues(rng, 2), 300), "D=2");
+  // Zeros are skipped, not a group: one value plus zeros is still D=1.
+  ExpectGroupedMatches(bases, ScalarsFrom(rng, {Fr::Zero(), Fr::FromU64(7)}, 300), "0 and 7");
+}
+
+TEST(GroupedMsmTest, DistinctCountAroundTheCrossover) {
+  Rng rng(402);
+  const size_t n = 1024;
+  const size_t d_max = internal::MaxGroupedDistinct(n);
+  const std::vector<G1Affine> bases = RandomBases(rng, n);
+
+  const std::vector<Fr> below = ScalarsFrom(rng, DistinctValues(rng, d_max), n);
+  ExpectGroupedMatches(bases, below, "D=d_max");
+
+  const std::vector<Fr> above = ScalarsFrom(rng, DistinctValues(rng, d_max + 1), n);
+  EXPECT_FALSE(internal::MsmGrouped(bases.data(), above.data(), n, d_max).has_value());
+  EXPECT_EQ(Msm(bases, above), Ungrouped(bases, above));
+}
+
+TEST(GroupedMsmTest, AllZeroScalarsAndIdentityBases) {
+  Rng rng(403);
+  std::vector<G1Affine> bases = RandomBases(rng, 200);
+  ExpectGroupedMatches(bases, std::vector<Fr>(200, Fr::Zero()), "all zero");
+  EXPECT_EQ(Msm(bases, std::vector<Fr>(200, Fr::Zero())), G1::Identity());
+  for (size_t i = 0; i < bases.size(); i += 3) {
+    bases[i] = G1Affine::Identity();
+  }
+  ExpectGroupedMatches(bases, ScalarsFrom(rng, DistinctValues(rng, 3), 200), "identity bases");
+  std::vector<G1Affine> all_identity(200, G1Affine::Identity());
+  ExpectGroupedMatches(all_identity, ScalarsFrom(rng, DistinctValues(rng, 3), 200),
+                       "all identity bases");
+}
+
+TEST(GroupedMsmTest, GroupSummingToTheIdentity) {
+  Rng rng(404);
+  const size_t n = 128;
+  std::vector<G1Affine> bases = RandomBases(rng, n);
+  const std::vector<Fr> values = DistinctValues(rng, 3);
+  std::vector<Fr> scalars = ScalarsFrom(rng, {values[0], values[1]}, n);
+  // values[2]'s group is exactly {P, -P}: its sum cancels to the identity.
+  const G1Affine p = bases[10];
+  bases[20] = G1Affine{p.x, p.y.Neg(), /*infinity=*/false};
+  scalars[10] = values[2];
+  scalars[20] = values[2];
+  // P and -P (and P again: a doubling) also share values[0]'s group.
+  bases[30] = p;
+  bases[31] = bases[20];
+  bases[32] = p;
+  scalars[30] = scalars[31] = scalars[32] = values[0];
+  ExpectGroupedMatches(bases, scalars, "P and -P");
+}
+
+TEST(GroupedMsmTest, SizesAroundTheCutoffs) {
+  // 32: Pippenger vs naive; 1024: serial vs pool; 4096+: the point range
+  // splits across pool chunks and the per-chunk sums merge. Below ~30 points
+  // the cost model never groups, so the cap is forced there.
+  EXPECT_EQ(internal::MaxGroupedDistinct(1), 0u);
+  for (size_t n : {size_t{1}, size_t{2}, size_t{31}, size_t{32}, size_t{33}, size_t{1023},
+                   size_t{1024}, size_t{1025}, size_t{4096}, size_t{8193}}) {
+    Rng rng(500 + n);
+    const std::vector<G1Affine> bases = RandomBases(rng, n);
+    ExpectGroupedMatches(bases, ScalarsFrom(rng, {Fr::FromU64(3), Fr::Zero() - Fr::One()}, n),
+                         "n=" + std::to_string(n), size_t{2});
   }
 }
 

@@ -180,6 +180,53 @@ TEST_P(PcsTest, TruncatedProofRejected) {
   EXPECT_EQ(s.code(), StatusCode::kMalformedProof) << s.ToString();
 }
 
+// Columns with few distinct values take Msm's grouped path; the commitment
+// must still be exactly Commit(IfftToCoeffs(evals)).
+TEST_P(PcsTest, LowCardinalityCommitLagrangeMatchesCommit) {
+  auto pcs = MakePcs();
+  const EvaluationDomain dom(6);
+  ASSERT_EQ(dom.size(), kMaxLen);
+  Rng rng(21);
+  const Fr a = Fr::Random(rng);
+  const Fr b = Fr::Random(rng);
+  std::vector<std::vector<Fr>> cases;
+  cases.emplace_back(kMaxLen, a);                       // one value
+  cases.emplace_back(kMaxLen, Fr::Zero());              // all zero
+  cases.emplace_back(kMaxLen, a);                       // two values
+  for (size_t r = 0; r < kMaxLen; r += 3) {
+    cases.back()[r] = b;
+  }
+  cases.emplace_back(kMaxLen, Fr::Zero());              // mostly zero
+  cases.back()[5] = a;
+  cases.back()[40] = b;
+  cases.back()[41] = a;
+  cases.emplace_back(kMaxLen);                          // piecewise constant
+  for (size_t r = 0; r < kMaxLen; ++r) {
+    cases.back()[r] = Fr::FromU64(r / 13) * a;
+  }
+  for (size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(pcs->CommitLagrange(cases[i]), pcs->Commit(dom.IfftToCoeffs(cases[i])))
+        << "case " << i;
+  }
+}
+
+// The prover commits a lookup running sum S as c*Commit(I) + Commit(S - c*I)
+// with I = (0, 1, ..., n-1); both backends are linear, so that is Commit(S).
+TEST_P(PcsTest, CommitLagrangeIsLinearInTheIndexColumn) {
+  auto pcs = MakePcs();
+  Rng rng(22);
+  const Fr c = Fr::Random(rng);
+  std::vector<Fr> index(kMaxLen), rest(kMaxLen), s(kMaxLen);
+  for (size_t r = 0; r < kMaxLen; ++r) {
+    index[r] = Fr::FromU64(r);
+    rest[r] = Fr::FromU64(r / 20);
+    s[r] = c * index[r] + rest[r];
+  }
+  const G1 split = G1::FromAffine(pcs->CommitLagrange(index).point).ScalarMul(c) +
+                   G1::FromAffine(pcs->CommitLagrange(rest).point);
+  EXPECT_EQ(split.ToAffine(), pcs->CommitLagrange(s).point);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, PcsTest, ::testing::Values(PcsKind::kKzg, PcsKind::kIpa),
                          [](const ::testing::TestParamInfo<PcsKind>& info) {
                            return info.param == PcsKind::kKzg ? "Kzg" : "Ipa";

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/pcs/kzg.h"
@@ -143,6 +145,93 @@ TEST(PlonkEdgeTest, EmptyCircuitStillRoundTrips) {
   Assignment asn(cs, kN);
   EXPECT_TRUE(MockProver(&cs, &asn).IsSatisfied());
   EXPECT_TRUE(ProveAndVerify(cs, asn, {}));
+}
+
+// Proves without the abort wrapper, so an unsatisfied witness comes back as
+// a Status.
+StatusOr<std::vector<uint8_t>> TryProve(const ConstraintSystem& cs, const Assignment& asn) {
+  auto pcs = MakeKzg();
+  ProvingKey pk = Keygen(cs, asn, *pcs, kK);
+  return CreateProofCancellable(pk, *pcs, asn, /*cancel=*/nullptr, /*metrics=*/nullptr);
+}
+
+TEST(PlonkEdgeTest, LookupHelperWhoseModeIsZero) {
+  // Every row looks up its own table value once, so h = 1/(beta+f) - m/(beta+t)
+  // is 0 on all rows but the few that repeat a value: its most frequent value
+  // is 0, and the running sum S is committed as Commit(S - 0*I).
+  ConstraintSystem cs;
+  Column a = cs.AddAdviceColumn(false);
+  Column sel = cs.AddFixedColumn();
+  Column tbl = cs.AddFixedColumn();
+  cs.AddLookup("identity", {Expression::Query(sel) * Expression::Query(a)}, {tbl});
+  Assignment asn(cs, kN);
+  for (size_t r = 0; r < kN; ++r) {
+    asn.SetFixed(tbl, r, Fr::FromU64(r));
+    asn.SetFixed(sel, r, Fr::One());
+    asn.SetAdvice(a, r, Fr::FromU64(r < 4 ? 5 : r));
+  }
+  EXPECT_TRUE(MockProver(&cs, &asn).IsSatisfied());
+  EXPECT_TRUE(ProveAndVerify(cs, asn, {}));
+}
+
+TEST(PlonkEdgeTest, OffTableLookupInputIsAnErrorNamingTheLookup) {
+  ConstraintSystem cs;
+  Column a = cs.AddAdviceColumn(false);
+  Column b = cs.AddAdviceColumn(false);
+  Column sel = cs.AddFixedColumn();
+  Column tbl = cs.AddFixedColumn();
+  Expression q = Expression::Query(sel);
+  cs.AddLookup("range-a", {q * Expression::Query(a)}, {tbl});
+  cs.AddLookup("range-b", {q * Expression::Query(b)}, {tbl});
+  Assignment asn(cs, kN);
+  for (size_t r = 0; r < 16; ++r) {
+    asn.SetFixed(tbl, r, Fr::FromU64(r));
+  }
+  for (size_t r = 0; r < 8; ++r) {
+    asn.SetFixed(sel, r, Fr::One());
+    asn.SetAdvice(a, r, Fr::FromU64(r));
+    asn.SetAdvice(b, r, Fr::FromU64(15 - r));
+  }
+  asn.SetAdvice(b, 3, Fr::FromU64(99));
+  const StatusOr<std::vector<uint8_t>> proof = TryProve(cs, asn);
+  ASSERT_FALSE(proof.ok());
+  EXPECT_EQ(proof.status().code(), StatusCode::kUnsatisfied);
+  EXPECT_NE(proof.status().message().find("lookup 'range-b' input missing: row 3"),
+            std::string::npos)
+      << proof.status().ToString();
+}
+
+TEST(PlonkEdgeTest, BrokenCopyIsAnErrorNamingTheChunk) {
+  // No lookups: round 3 commits only the permutation products.
+  ConstraintSystem cs;
+  std::vector<Column> cols;
+  for (int i = 0; i < 9; ++i) {
+    cols.push_back(cs.AddAdviceColumn(true));
+  }
+  Column sel = cs.AddFixedColumn();
+  Expression x = Expression::Query(cols[0]);
+  cs.AddGate("deg5", Expression::Query(sel) * x * x * x * x);
+  ASSERT_GE(cs.NumPermutationChunks(), 3u);
+  Assignment asn(cs, kN);
+  for (size_t i = 1; i < cols.size(); ++i) {
+    asn.SetAdvice(cols[i - 1], 2, Fr::FromU64(i));
+    asn.SetAdvice(cols[i], 3, Fr::FromU64(i));
+    asn.Copy(Cell{cols[i - 1], 2}, Cell{cols[i], 3});
+  }
+  ASSERT_TRUE(TryProve(cs, asn).ok());
+
+  asn.SetAdvice(cols[8], 3, Fr::FromU64(100));  // breaks the last copy only
+  const StatusOr<std::vector<uint8_t>> proof = TryProve(cs, asn);
+  ASSERT_FALSE(proof.ok());
+  EXPECT_EQ(proof.status().code(), StatusCode::kUnsatisfied);
+  const std::string& msg = proof.status().message();
+  const std::string chunk = std::to_string(7 / cs.PermutationChunkSize());
+  EXPECT_NE(msg.find("copy constraints inconsistent with witness: permutation chunk " + chunk +
+                     ":"),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("advice 7 row 2"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("advice 8 row 3"), std::string::npos) << msg;
 }
 
 }  // namespace
