@@ -1,5 +1,6 @@
 // Primitive microbenchmarks (google-benchmark): the FFT/MSM/lookup/field-op
-// timings that the optimizer's hardware profile is built from (§7.4).
+// kernels the optimizer's cost model prices (§7.4; bench_hw_profile
+// calibrates the profile it prices them with).
 //
 // Besides the usual console table, the binary writes BENCH_primitives.json
 // (one record per benchmark: op, size, seconds, threads) so perf regressions
@@ -13,7 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/base/cpu_features.h"
+#include "bench/bench_util.h"
 #include "src/base/rng.h"
 #include "src/base/thread_pool.h"
 #include "src/ec/g1.h"
@@ -445,8 +446,8 @@ BENCHMARK(BM_CommitViaIfft)->DenseRange(10, 14, 2)->Unit(benchmark::kMillisecond
 // pool, so on a CPU-restricted runner the series above measure the kernels
 // single-threaded. These series decompose the same work across an ad-hoc pool
 // of hardware_concurrency workers (at least 2) and stamp their records with
-// that thread count, so the JSON dump carries a measured threads>1 point for
-// the optimizer's hardware profile on multi-core hosts.
+// that thread count, so the JSON dump carries a measured threads>1 point on
+// multi-core hosts.
 
 size_t MtThreads() {
   const unsigned hc = std::thread::hardware_concurrency();
@@ -698,32 +699,15 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
     ConsoleReporter::ReportRuns(runs);
   }
 
-  // The dump carries the host it was measured on: perf numbers from
-  // different CPUs are not comparable, and the CI regression gate uses the
-  // stamp to decide between an absolute delta check (same CPU model as the
-  // committed baseline) and a weaker ratio-only check.
+  // The dump carries the host it was measured on: the CI regression gate
+  // uses the stamp to decide between an absolute delta check (same CPU model
+  // as the committed baseline) and a weaker ratio-only check.
   bool WriteJson(const char* path, size_t threads) const {
     std::FILE* f = std::fopen(path, "w");
     if (f == nullptr) {
       return false;
     }
-    const CpuFeatures& cpu = CpuFeatures::Get();
-    std::string model = cpu.cpu_model;
-    for (char& c : model) {
-      if (c == '"' || c == '\\') {
-        c = ' ';  // CPUID brand strings never contain these; stay safe anyway
-      }
-    }
-    // num_cpus is the machine (hardware_concurrency); affinity_cpus is what
-    // the process may schedule on (and what the global pool sizes from).
-    // Earlier dumps wrote the affinity count as num_cpus, which on a
-    // CPU-restricted runner stamped "num_cpus": 1 for a many-core machine.
-    const unsigned hc = std::thread::hardware_concurrency();
-    std::fprintf(f, "{\n  \"host\": {\"cpu_model\": \"%s\", \"num_cpus\": %u, "
-                 "\"affinity_cpus\": %zu, "
-                 "\"simd\": \"%s\", \"git_sha\": \"%s\", \"threads\": %zu},\n",
-                 model.c_str(), hc == 0 ? 1u : hc, cpu.num_cpus, cpu.Summary().c_str(),
-                 ZKML_GIT_SHA, threads);
+    std::fprintf(f, "{\n  \"host\": %s,\n", HostStampJson(threads).c_str());
     std::fprintf(f, "  \"results\": [\n");
     for (size_t i = 0; i < records_.size(); ++i) {
       const Record& r = records_[i];

@@ -9,8 +9,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/base/cpu_features.h"
 #include "src/base/timer.h"
 #include "src/layers/quant_executor.h"
 #include "src/model/zoo.h"
@@ -97,6 +99,30 @@ inline ZkmlOptions BenchOptions(PcsKind backend) {
   options.optimizer.max_columns = 32;
   options.optimizer.max_k = 15;
   return options;
+}
+
+// The host a measurement was taken on, as a JSON object: perf numbers from
+// different CPUs are not comparable. num_cpus is the machine
+// (hardware_concurrency); affinity_cpus is what the process may schedule on
+// (and what the global pool sizes from). Earlier dumps wrote the affinity
+// count as num_cpus, which on a CPU-restricted runner stamped "num_cpus": 1
+// for a many-core machine.
+inline std::string HostStampJson(size_t threads) {
+  const CpuFeatures& cpu = CpuFeatures::Get();
+  std::string model = cpu.cpu_model;
+  for (char& c : model) {
+    if (c == '"' || c == '\\') {
+      c = ' ';  // CPUID brand strings never contain these; stay safe anyway
+    }
+  }
+  const unsigned hc = std::thread::hardware_concurrency();
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"cpu_model\": \"%s\", \"num_cpus\": %u, \"affinity_cpus\": %zu, "
+                "\"simd\": \"%s\", \"git_sha\": \"%s\", \"threads\": %zu}",
+                model.c_str(), hc == 0 ? 1u : hc, cpu.num_cpus, cpu.Summary().c_str(),
+                ZKML_GIT_SHA, threads);
+  return buf;
 }
 
 inline void PrintRule(int width = 78) {

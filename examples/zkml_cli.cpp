@@ -219,9 +219,7 @@ int CmdOptimize(const std::string& path, PcsKind backend) {
   if (!LoadModelOrReport(path, &model, &exit_code)) {
     return exit_code;
   }
-  OptimizerOptions opts = CliOptions(backend).optimizer;
-  opts.backend = backend;
-  const OptimizerResult result = OptimizeLayout(model, HardwareProfile::Cached(), opts);
+  const OptimizerResult result = ChooseLayout(model, CliOptions(backend));
   std::printf("optimal layout: %d columns x 2^%d rows (%zu plans in %.2fs)\n",
               result.best.layout.num_columns, result.best.layout.k, result.plans_evaluated,
               result.optimizer_seconds);
@@ -308,9 +306,7 @@ int CmdProfile(const std::string& path, PcsKind backend, const std::string& repo
   if (!LoadModelOrReport(path, &model, &exit_code)) {
     return exit_code;
   }
-  OptimizerOptions opts = CliOptions(backend).optimizer;
-  opts.backend = backend;
-  const OptimizerResult result = OptimizeLayout(model, HardwareProfile::Cached(), opts);
+  const OptimizerResult result = ChooseLayout(model, CliOptions(backend));
   const obs::CircuitProfile profile = obs::ProfileCircuit(model, result.best.layout);
   std::printf("%s", profile.ToTable().c_str());
   if (!report_path.empty()) {
@@ -496,8 +492,11 @@ int CmdVerify(const std::string& model_path, const std::string& proof_path, PcsK
     std::fprintf(stderr, "error reading %s: %s\n", proof_path.c_str(), s.ToString().c_str());
     return s.code() == StatusCode::kIoError ? kExitUsage : kExitMalformedInput;
   }
-  // The verifier recompiles deterministically (same optimizer + setup seed),
-  // obtaining the same verifying keys the prover used; no witness involved.
+  // The verifier recompiles, obtaining the same verifying keys the prover
+  // used; no witness involved. That is deterministic: the optimizer ranks
+  // layouts against the committed hardware profile, not a per-process
+  // measurement, so the layout depends only on the model and the options, and
+  // the setup seed is fixed.
   // A composite artifact's magic and count fix its circuits, and a lying
   // count fails the planner's shape checks before anything is compiled.
   StatusOr<ProofPlan> plan = PlanFromArtifact(model, proof, CliOptions(backend));

@@ -4,36 +4,33 @@
 #ifndef SRC_OPTIMIZER_COST_MODEL_H_
 #define SRC_OPTIMIZER_COST_MODEL_H_
 
+#include <array>
 #include <cstddef>
-#include <map>
 
 #include "src/compiler/compiler.h"
 #include "src/pcs/pcs.h"
 
 namespace zkml {
 
-class HardwareProfile {
- public:
-  // Microbenchmarks FFT/MSM/lookup-construction times for sizes 2^k with
-  // k <= measured_max_k, then extrapolates by the known asymptotics for
-  // larger sizes. Takes a couple of seconds; cache the result.
-  static HardwareProfile Measure(int measured_max_k = 14);
+// Kernel seconds at the sizes 2^k with k = 8, 10, 12, ... (kFirstK, then
+// every second k); other sizes are extrapolated by the kernels' asymptotics.
+struct HardwareProfile {
+  static constexpr int kFirstK = 8;
 
-  // Process-wide cached profile.
+  std::array<double, 4> fft_seconds{};     // k = 8, 10, 12, 14
+  std::array<double, 3> msm_seconds{};     // k = 8, 10, 12
+  std::array<double, 4> lookup_seconds{};  // k = 8, 10, 12, 14
+  double field_mul_seconds = 0;
+
+  // The committed profile every process ranks layouts with (cost_model.cc,
+  // calibrated once by bench/bench_hw_profile). No process measures its own,
+  // so the optimizer's choice is a pure function of (model, options) and a
+  // verifier that recompiles gets the prover's circuit.
   static const HardwareProfile& Cached();
 
   double FftSeconds(int k) const;
   double MsmSeconds(int k) const;
   double LookupBuildSeconds(int k) const;
-  double field_mul_seconds() const { return field_mul_seconds_; }
-
- private:
-  double Lookup(const std::map<int, double>& table, int k, double per_element_growth) const;
-
-  std::map<int, double> fft_seconds_;
-  std::map<int, double> msm_seconds_;
-  std::map<int, double> lookup_seconds_;
-  double field_mul_seconds_ = 0;
 };
 
 struct CostEstimate {

@@ -53,15 +53,19 @@ CompiledModel CompileModelWithLayout(const Model& model, const PhysicalLayout& l
   return compiled;
 }
 
-StatusOr<CompiledModel> TryCompileModel(const Model& model, const ZkmlOptions& options,
-                                        size_t batch) {
+OptimizerResult ChooseLayout(const Model& model, const ZkmlOptions& options, size_t batch) {
   OptimizerOptions opt = options.optimizer;
   opt.backend = options.backend;
   opt.batch = batch;
-  OptimizerResult result = OptimizeLayout(model, HardwareProfile::Cached(), opt);
+  return OptimizeLayout(model, HardwareProfile::Cached(), opt);
+}
+
+StatusOr<CompiledModel> TryCompileModel(const Model& model, const ZkmlOptions& options,
+                                        size_t batch) {
+  const OptimizerResult result = ChooseLayout(model, options, batch);
   if (result.best.layout.k <= 0) {
     return InvalidArgumentError("no feasible layout for batch " + std::to_string(batch) +
-                                " within max_k " + std::to_string(opt.max_k) +
+                                " within max_k " + std::to_string(options.optimizer.max_k) +
                                 " (shrink the batch or raise max_k)");
   }
   CompiledModel compiled = CompileModelWithLayout(model, result.best.layout, options);

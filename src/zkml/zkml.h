@@ -46,7 +46,14 @@ struct CompiledModel {
   double keygen_seconds = 0;
 };
 
-// Runs the optimizer, builds the circuit for `batch` inferences, and
+// The layout TryCompileModel compiles `batch` inferences of `model` with:
+// options.optimizer under options.backend, ranked against the committed
+// hardware profile. The pick depends on the arguments alone, so the prover,
+// the verifier and `zkml_cli optimize` get the same circuit in any process.
+// best.layout.k is 0 when no layout fits within max_k.
+OptimizerResult ChooseLayout(const Model& model, const ZkmlOptions& options, size_t batch = 1);
+
+// Compiles ChooseLayout's pick: builds the circuit for `batch` inferences and
 // generates keys; no feasible layout within max_k is an InvalidArgument.
 StatusOr<CompiledModel> TryCompileModel(const Model& model, const ZkmlOptions& options = {},
                                         size_t batch = 1);

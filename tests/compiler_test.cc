@@ -2,6 +2,9 @@
 // cost model sanity.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 #include "src/compiler/compiler.h"
 #include "src/optimizer/optimizer.h"
 #include "src/model/zoo.h"
@@ -56,8 +59,8 @@ TEST(CostModelTest, HardwareProfileMonotone) {
   EXPECT_GT(hw.FftSeconds(12), hw.FftSeconds(10));
   EXPECT_GT(hw.MsmSeconds(14), hw.MsmSeconds(10));
   EXPECT_GT(hw.FftSeconds(20), hw.FftSeconds(14));  // extrapolated
-  EXPECT_GT(hw.field_mul_seconds(), 0);
-  EXPECT_LT(hw.field_mul_seconds(), 1e-5);
+  EXPECT_GT(hw.field_mul_seconds, 0);
+  EXPECT_LT(hw.field_mul_seconds, 1e-5);
 }
 
 TEST(CostModelTest, CostGrowsWithRows) {
@@ -149,6 +152,50 @@ TEST(OptimizerTest, MaxKConstraintFiltersPlans) {
   OptimizerResult result = OptimizeLayout(model, HardwareProfile::Cached(), opts);
   for (const RankedLayout& r : result.all) {
     EXPECT_LE(r.layout.k, 13);
+  }
+}
+
+// Every zoo model's pick under default options and the committed profile.
+// Prover and verifier each compile in their own process, so these picks are
+// part of the circuit: recalibrating the profile (bench/bench_hw_profile) in a
+// way that moves one is a circuit change. The profile scaled by 0.5 and by 4
+// ranks alike; powers of two scale every estimate exactly, so only the
+// kernels' ratios rank layouts and a uniformly faster or slower host would
+// change nothing.
+TEST(OptimizerTest, GoldenLayoutsUnderTheCommittedProfile) {
+  struct Golden {
+    const char* model;
+    int columns;
+    int k;
+  };
+  constexpr Golden kGolden[] = {
+      {"mnist", 26, 9},     {"resnet18", 16, 12},  {"dlrm", 8, 11},
+      {"twitter", 8, 12},   {"lstm", 8, 12},       {"mobilenet", 14, 13},
+      {"vgg16", 14, 14},    {"gpt2", 9, 13},       {"diffusion", 20, 12},
+  };
+  auto scaled = [](double factor) {
+    HardwareProfile hw = HardwareProfile::Cached();
+    for (double& s : hw.fft_seconds) s *= factor;
+    for (double& s : hw.msm_seconds) s *= factor;
+    for (double& s : hw.lookup_seconds) s *= factor;
+    hw.field_mul_seconds *= factor;
+    return hw;
+  };
+  const HardwareProfile profiles[] = {HardwareProfile::Cached(), scaled(0.5), scaled(4)};
+  for (const Golden& golden : kGolden) {
+    const Model model = MakeZooModel(golden.model);
+    for (PcsKind backend : {PcsKind::kKzg, PcsKind::kIpa}) {
+      OptimizerOptions opts;
+      opts.backend = backend;
+      for (size_t p = 0; p < std::size(profiles); ++p) {
+        const PhysicalLayout layout = OptimizeLayout(model, profiles[p], opts).best.layout;
+        const std::string where = std::string(golden.model) +
+                                  (backend == PcsKind::kKzg ? "/kzg" : "/ipa") +
+                                  " profile " + std::to_string(p);
+        EXPECT_EQ(layout.num_columns, golden.columns) << where;
+        EXPECT_EQ(layout.k, golden.k) << where;
+      }
+    }
   }
 }
 

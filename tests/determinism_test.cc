@@ -36,8 +36,9 @@ ZkmlOptions GoldenOptions() {
   return options;
 }
 
-// A fixed layout rather than the optimizer's pick: HardwareProfile::Cached()
-// can rank layouts differently in each process.
+// A fixed layout rather than the optimizer's pick, so the goldens pin the
+// prover's bytes and not the optimizer's ranking (which
+// OptimizerTest.GoldenLayoutsUnderTheCommittedProfile pins).
 CompiledModel CompileFixed(const Model& model, size_t batch = 1) {
   const PhysicalLayout layout =
       SimulateLayout(model, GadgetSetForModel(model), 14, nullptr, batch);

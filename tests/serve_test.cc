@@ -281,13 +281,14 @@ TEST(ServeTest, WatchdogReapsJobWedgedInUncancellableWork) {
   ASSERT_TRUE(server.Start().ok());
   ZkmlClient client = MustConnect(server);
 
-  // A cold model makes compilation the wedge: it takes seconds and has no
-  // cancellation checkpoints, so the 50ms deadline plus 100ms grace elapse
-  // while the job cannot yield. The watchdog must cancel the token; the job
-  // reports CANCELLED ("reaped") at its next checkpoint instead of running
-  // the proof after its client has long given up.
+  // A cold mobilenet makes compilation the wedge: it takes about 0.4s, well
+  // past the 50ms deadline plus 100ms grace, and has no cancellation
+  // checkpoints, so both elapse while the job cannot yield. The watchdog must
+  // cancel the token; the job reports CANCELLED ("reaped") at its next
+  // checkpoint instead of running the proof after its client has long given
+  // up.
   ProveRequest req;
-  req.model_text = MnistText();
+  req.model_text = SerializeModel(MakeMobileNetLite());
   req.seed = 70;
   req.deadline_ms = 50;
   StatusOr<ZkmlClient::ProveOutcome> r = client.Prove(req, 1, kProveWaitMs);
@@ -544,8 +545,10 @@ TEST(ServeTest, CompatibleQueuedJobsCoalesceIntoOneBatchedProof) {
     req.seed = 90;
     head_result = c.Prove(req, 1, kProveWaitMs);
   });
-  // Give the head job time to be claimed before the group arrives.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  // The group must queue while the head runs, so wait until it is claimed.
+  while (server.stats().running_jobs == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   std::vector<StatusOr<ZkmlClient::ProveOutcome>> results(3, InternalError("unset"));
   std::vector<Tensor<int64_t>> inputs;
