@@ -816,6 +816,9 @@ std::optional<G1> MsmGrouped(const G1Affine* bases, const Fr* scalars, size_t n,
     return std::nullopt;
   }
   const size_t num_groups = values.size();
+  if (num_groups == 0) {
+    return G1::Identity();  // every scalar is zero
+  }
   // Split the point range across the pool like MsmPippenger's point chunks;
   // a second SumGroups over the chunk-major partial sums merges them.
   const size_t threads = ThreadPool::Global().num_threads();

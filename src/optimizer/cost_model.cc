@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/pcs/shared_pcs.h"
+#include "src/plonk/proof_io.h"
+
 namespace zkml {
 namespace {
 
@@ -86,15 +89,9 @@ size_t EstimateProofSize(const PhysicalLayout& layout, PcsKind backend) {
   // openings for lookups/permutation, plus fixed-column evaluations.
   const size_t evals = layout.num_advice + layout.num_fixed + layout.num_perm +
                        4 * layout.num_lookups + 2 * layout.num_perm_chunks + ext_factor;
-  size_t opening_bytes;
   const size_t groups = 2;  // rotations {0, +1}
-  if (backend == PcsKind::kKzg) {
-    opening_bytes = groups * 33;
-  } else {
-    const size_t rounds = static_cast<size_t>(layout.k);
-    opening_bytes = groups * (4 + rounds * 2 * 33 + 32);
-  }
-  return commitments * 33 + evals * 32 + opening_bytes;
+  return commitments * G1Affine::kCompressedSize + evals * kProofFrSize +
+         groups * OpeningBytes(backend, layout.k);
 }
 
 }  // namespace zkml

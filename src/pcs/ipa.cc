@@ -57,6 +57,10 @@ PcsCommitment IpaPcs::CommitLagrange(const std::vector<Fr>& evals) const {
   return PcsCommitment{Msm(bases.data(), evals.data(), evals.size()).ToAffine()};
 }
 
+size_t IpaPcs::OpeningBytes(int k) {
+  return 4 + static_cast<size_t>(k) * 2 * G1Affine::kCompressedSize + kProofFrSize;
+}
+
 void IpaPcs::OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const Fr& point,
                        Transcript* transcript, std::vector<uint8_t>* proof_out) const {
   obs::Span span("ipa-open-batch");

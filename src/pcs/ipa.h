@@ -36,6 +36,9 @@ class IpaPcs : public Pcs {
   PcsCommitment Commit(const std::vector<Fr>& coeffs) const override;
   void PrepareLagrange(size_t n) const override;
   PcsCommitment CommitLagrange(const std::vector<Fr>& evals) const override;
+  // The bytes OpenBatch appends for polynomials of at most 2^k coefficients:
+  // the vector length, an L and an R point per halving round, the final scalar.
+  static size_t OpeningBytes(int k);
   void OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const Fr& point,
                  Transcript* transcript, std::vector<uint8_t>* proof_out) const override;
   Status VerifyBatch(const std::vector<PcsCommitment>& commitments, const std::vector<Fr>& evals,

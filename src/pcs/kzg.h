@@ -108,6 +108,8 @@ class KzgPcs : public Pcs {
   PcsCommitment Commit(const std::vector<Fr>& coeffs) const override;
   void PrepareLagrange(size_t n) const override;
   PcsCommitment CommitLagrange(const std::vector<Fr>& evals) const override;
+  // The bytes OpenBatch appends, whatever the polynomials' size: the witness W.
+  static size_t OpeningBytes() { return G1Affine::kCompressedSize; }
   void OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const Fr& point,
                  Transcript* transcript, std::vector<uint8_t>* proof_out) const override;
   Status VerifyBatch(const std::vector<PcsCommitment>& commitments, const std::vector<Fr>& evals,

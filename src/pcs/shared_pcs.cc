@@ -41,4 +41,8 @@ std::shared_ptr<const Pcs> SharedPcsBackend(PcsKind kind, size_t max_len, uint64
   });
 }
 
+size_t OpeningBytes(PcsKind kind, int k) {
+  return kind == PcsKind::kKzg ? KzgPcs::OpeningBytes() : IpaPcs::OpeningBytes(k);
+}
+
 }  // namespace zkml

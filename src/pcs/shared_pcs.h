@@ -25,6 +25,9 @@ namespace zkml {
 // The shared backend for (kind, seed, max_len); max_len is a power of two.
 std::shared_ptr<const Pcs> SharedPcsBackend(PcsKind kind, size_t max_len, uint64_t seed);
 
+// KzgPcs::OpeningBytes or IpaPcs::OpeningBytes(k), by kind.
+size_t OpeningBytes(PcsKind kind, int k);
+
 }  // namespace zkml
 
 #endif  // SRC_PCS_SHARED_PCS_H_

@@ -57,6 +57,12 @@ struct ColumnQuery {
   }
 };
 
+// Row `row + rotation` of an n-row grid, wrapping around.
+inline size_t RotateRow(size_t row, int64_t rotation, size_t n) {
+  const int64_t m = static_cast<int64_t>(n);
+  return static_cast<size_t>(((static_cast<int64_t>(row) + rotation) % m + m) % m);
+}
+
 }  // namespace zkml
 
 #endif  // SRC_PLONK_COLUMN_H_

@@ -8,6 +8,7 @@
 #include "src/base/kernel_stats.h"
 #include "src/base/thread_pool.h"
 #include "src/obs/trace.h"
+#include "src/plonk/proof_shape.h"
 
 namespace zkml {
 namespace {
@@ -116,14 +117,7 @@ ProvingKey Keygen(const ConstraintSystem& cs, const Assignment& assignment, cons
     perm.Join(ita->second, a.row, itb->second, b.row);
   }
 
-  const Fr delta = FrDelta();
-  std::vector<Fr> delta_pow(perm_cols.size());
-  if (!perm_cols.empty()) {
-    delta_pow[0] = Fr::One();
-    for (size_t i = 1; i < perm_cols.size(); ++i) {
-      delta_pow[i] = delta_pow[i - 1] * delta;
-    }
-  }
+  const std::vector<Fr> delta_pow = ProofShape(pk.vk).delta_pow();
 
   pk.sigma_values.assign(perm_cols.size(), std::vector<Fr>(n));
   pk.sigma_coeffs.resize(perm_cols.size());

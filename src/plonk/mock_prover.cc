@@ -34,12 +34,7 @@ std::vector<ConstraintFailure> MockProver::Verify(size_t max_failures) const {
   const size_t n = assignment_->num_rows();
 
   auto resolve_at = [&](const ColumnQuery& q, size_t row) -> Fr {
-    int64_t r = static_cast<int64_t>(row) + q.rotation;
-    r %= static_cast<int64_t>(n);
-    if (r < 0) {
-      r += static_cast<int64_t>(n);
-    }
-    return assignment_->Get(q.column, static_cast<size_t>(r));
+    return assignment_->Get(q.column, RotateRow(row, q.rotation, n));
   };
 
   // Gates.

@@ -17,6 +17,18 @@ namespace zkml {
 
 inline constexpr size_t kProofFrSize = 32;  // canonical little-endian Fr
 
+// kMalformedProof unless `need` bytes remain at `offset`.
+inline Status ProofNeed(const std::vector<uint8_t>& in, size_t offset, size_t need,
+                        const char* what) {
+  const size_t have = offset > in.size() ? 0 : in.size() - offset;
+  if (have >= need) {
+    return Status::Ok();
+  }
+  return MalformedProofError(std::string("truncated reading ") + what + " at byte offset " +
+                             std::to_string(offset) + " (need " + std::to_string(need) +
+                             " bytes, have " + std::to_string(have) + ")");
+}
+
 inline void ProofAppendPoint(std::vector<uint8_t>* out, const G1Affine& p) {
   const auto bytes = p.Serialize();
   out->insert(out->end(), bytes.begin(), bytes.end());
@@ -26,12 +38,7 @@ inline void ProofAppendPoint(std::vector<uint8_t>* out, const G1Affine& p) {
 // messages can attribute the failure (e.g. "advice commitment 3").
 inline Status ProofReadPoint(const std::vector<uint8_t>& in, size_t* offset, G1Affine* p,
                              const char* what = "point") {
-  if (*offset > in.size() || in.size() - *offset < G1Affine::kCompressedSize) {
-    return MalformedProofError(std::string("truncated reading ") + what + " at byte offset " +
-                               std::to_string(*offset) + " (need " +
-                               std::to_string(G1Affine::kCompressedSize) + " bytes, have " +
-                               std::to_string(in.size() - *offset) + ")");
-  }
+  ZKML_RETURN_IF_ERROR(ProofNeed(in, *offset, G1Affine::kCompressedSize, what));
   if (!G1Affine::Deserialize(in.data() + *offset, p)) {
     return MalformedProofError(std::string("invalid curve-point encoding for ") + what +
                                " at byte offset " + std::to_string(*offset));
@@ -53,12 +60,7 @@ inline void ProofAppendFr(std::vector<uint8_t>* out, const Fr& x) {
 // them would make proof encodings malleable).
 inline Status ProofReadFr(const std::vector<uint8_t>& in, size_t* offset, Fr* x,
                           const char* what = "scalar") {
-  if (*offset > in.size() || in.size() - *offset < kProofFrSize) {
-    return MalformedProofError(std::string("truncated reading ") + what + " at byte offset " +
-                               std::to_string(*offset) + " (need " +
-                               std::to_string(kProofFrSize) + " bytes, have " +
-                               std::to_string(in.size() - *offset) + ")");
-  }
+  ZKML_RETURN_IF_ERROR(ProofNeed(in, *offset, kProofFrSize, what));
   U256 c;
   for (int i = 0; i < 4; ++i) {
     uint64_t limb = 0;
@@ -84,10 +86,7 @@ inline void ProofAppendU32(std::vector<uint8_t>* out, uint32_t v) {
 
 inline Status ProofReadU32(const std::vector<uint8_t>& in, size_t* offset, uint32_t* v,
                            const char* what = "length") {
-  if (*offset > in.size() || in.size() - *offset < 4) {
-    return MalformedProofError(std::string("truncated reading ") + what + " at byte offset " +
-                               std::to_string(*offset));
-  }
+  ZKML_RETURN_IF_ERROR(ProofNeed(in, *offset, 4, what));
   *v = 0;
   for (int i = 0; i < 4; ++i) {
     *v |= static_cast<uint32_t>(in[*offset + i]) << (8 * i);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -16,20 +15,13 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/plonk/proof_io.h"
+#include "src/plonk/proof_shape.h"
 #include "src/plonk/quotient.h"
 #include "src/poly/polynomial.h"
 #include "src/transcript/transcript.h"
 
 namespace zkml {
 namespace {
-
-Fr EvalPoly(const std::vector<Fr>& coeffs, const Fr& x) {
-  Fr acc = Fr::Zero();
-  for (size_t i = coeffs.size(); i-- > 0;) {
-    acc = acc * x + coeffs[i];
-  }
-  return acc;
-}
 
 // The value filling the most entries of v (first-seen on ties). Counts runs,
 // not entries, so a column dominated by one value costs few hash probes.
@@ -212,6 +204,8 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
   const size_t num_chunks = cs.NumPermutationChunks();
   const int chunk_size = cs.PermutationChunkSize();
   const std::vector<Column>& perm_cols = pk.vk.perm_columns;
+  const ProofShape shape(pk.vk);
+  const std::vector<Fr>& delta_pow = shape.delta_pow();
 
   std::vector<uint8_t> proof;
   Transcript transcript("zkml-plonk");
@@ -224,12 +218,7 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
 
   // Row access with wraparound rotation.
   auto grid_at = [&](const ColumnQuery& q, size_t row) -> Fr {
-    int64_t r = static_cast<int64_t>(row) + q.rotation;
-    r %= static_cast<int64_t>(n);
-    if (r < 0) {
-      r += static_cast<int64_t>(n);
-    }
-    return assignment.Get(q.column, static_cast<size_t>(r));
+    return assignment.Get(q.column, RotateRow(row, q.rotation, n));
   };
 
   // --- Round 1: commit advice straight from evaluation form. ---
@@ -245,10 +234,7 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
       group.Submit([&, i] { advice_comms[i] = pcs.CommitLagrange(assignment.advice()[i]); });
     }
   }
-  for (size_t i = 0; i < num_advice; ++i) {
-    transcript.AppendPoint("advice", advice_comms[i].point);
-    ProofAppendPoint(&proof, advice_comms[i].point);
-  }
+  shape.Write(ProofShape::kAdvice, advice_comms, &transcript, &proof);
   ZKML_RETURN_IF_ERROR(stages.Begin("lookup-mult"));
 
   const Fr theta = transcript.ChallengeFr("theta");
@@ -301,10 +287,7 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
   for (const Status& st : lookup_status) {
     ZKML_RETURN_IF_ERROR(st);
   }
-  for (size_t l = 0; l < num_lookups; ++l) {
-    transcript.AppendPoint("lookup-m", m_comms[l].point);
-    ProofAppendPoint(&proof, m_comms[l].point);
-  }
+  shape.Write(ProofShape::kLookupM, m_comms, &transcript, &proof);
   ZKML_RETURN_IF_ERROR(stages.Begin("lookup-perm-commit"));
 
   const Fr beta = transcript.ChallengeFr("beta");
@@ -319,14 +302,6 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
   // h != c, so S' takes few distinct values and Msm commits it grouped (as it
   // does h). Both PCS commitments are linear, so c*Commit(I) + Commit(S') is
   // the same point as Commit(S); Commit(I) is paid once per proof.
-  const Fr delta = FrDelta();
-  std::vector<Fr> delta_pow(perm_cols.size());
-  if (!perm_cols.empty()) {
-    delta_pow[0] = Fr::One();
-    for (size_t i = 1; i < perm_cols.size(); ++i) {
-      delta_pow[i] = delta_pow[i - 1] * delta;
-    }
-  }
   std::vector<std::vector<Fr>> lk_h(num_lookups), lk_s(num_lookups);
   std::vector<Fr> h_mode(num_lookups);
   std::vector<std::vector<Fr>> z_values(num_chunks);
@@ -399,7 +374,8 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
     }
   }
 
-  std::vector<PcsCommitment> h_comms(num_lookups), s_comms(num_lookups), z_comms(num_chunks);
+  // Each lookup's h and s commitments, interleaved as the proof carries them.
+  std::vector<PcsCommitment> hs_comms(2 * num_lookups), z_comms(num_chunks);
   PcsCommitment index_comm;
   {
     TaskGroup group;
@@ -414,8 +390,8 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
     }
     for (size_t l = 0; l < num_lookups; ++l) {
       group.Submit([&, l] {
-        h_comms[l] = pcs.CommitLagrange(lk_h[l]);
-        s_comms[l] = pcs.CommitLagrange(lk_s[l]);
+        hs_comms[2 * l] = pcs.CommitLagrange(lk_h[l]);
+        hs_comms[2 * l + 1] = pcs.CommitLagrange(lk_s[l]);
         Fr c_r = Fr::Zero();  // c * r
         for (size_t r = 0; r < n; ++r) {
           lk_s[l][r] += c_r;
@@ -436,21 +412,12 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
     }
   }
   for (size_t l = 0; l < num_lookups; ++l) {
-    s_comms[l].point = (G1::FromAffine(index_comm.point).ScalarMul(h_mode[l]) +
-                        G1::FromAffine(s_comms[l].point))
-                           .ToAffine();
+    G1Affine& s_point = hs_comms[2 * l + 1].point;
+    s_point = (G1::FromAffine(index_comm.point).ScalarMul(h_mode[l]) + G1::FromAffine(s_point))
+                  .ToAffine();
   }
-
-  for (size_t l = 0; l < num_lookups; ++l) {
-    transcript.AppendPoint("lookup-h", h_comms[l].point);
-    ProofAppendPoint(&proof, h_comms[l].point);
-    transcript.AppendPoint("lookup-s", s_comms[l].point);
-    ProofAppendPoint(&proof, s_comms[l].point);
-  }
-  for (size_t c = 0; c < num_chunks; ++c) {
-    transcript.AppendPoint("perm-z", z_comms[c].point);
-    ProofAppendPoint(&proof, z_comms[c].point);
-  }
+  shape.Write(ProofShape::kLookupHS, hs_comms, &transcript, &proof);
+  shape.Write(ProofShape::kPermZ, z_comms, &transcript, &proof);
   ZKML_RETURN_IF_ERROR(stages.Begin("quotient"));
 
   const Fr y = transcript.ChallengeFr("y");
@@ -463,8 +430,7 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
   const size_t num_instance = cs.num_instance_columns();
   std::vector<std::vector<Fr>> advice_coeffs(num_advice);
   std::vector<std::vector<Fr>> instance_coeffs(num_instance);
-  std::vector<std::vector<Fr>> m_coeffs(num_lookups), h_coeffs(num_lookups),
-      s_coeffs(num_lookups);
+  std::vector<std::vector<Fr>> m_coeffs(num_lookups), hs_coeffs(2 * num_lookups);
   std::vector<std::vector<Fr>> z_coeffs(num_chunks);
   {
     TaskGroup group;
@@ -484,8 +450,8 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
     for (size_t l = 0; l < num_lookups; ++l) {
       group.Submit([&, l] {
         m_coeffs[l] = interpolate_and_release(lk_m[l]);
-        h_coeffs[l] = interpolate_and_release(lk_h[l]);
-        s_coeffs[l] = interpolate_and_release(lk_s[l]);
+        hs_coeffs[2 * l] = interpolate_and_release(lk_h[l]);
+        hs_coeffs[2 * l + 1] = interpolate_and_release(lk_s[l]);
       });
     }
     for (size_t c = 0; c < num_chunks; ++c) {
@@ -530,8 +496,8 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
       }
       for (size_t l = 0; l < num_lookups; ++l) {
         group.Submit([&, l] {
-          coset_into(h_coeffs[l], h_coset[l]);
-          coset_into(s_coeffs[l], s_coset[l]);
+          coset_into(hs_coeffs[2 * l], h_coset[l]);
+          coset_into(hs_coeffs[2 * l + 1], s_coset[l]);
           coset_into(m_coeffs[l], m_coset[l]);
         });
       }
@@ -620,82 +586,40 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
     q_chunks[i] =
         std::vector<Fr>(quotient_coeffs.begin() + i * n, quotient_coeffs.begin() + (i + 1) * n);
     q_comms[i] = pcs.Commit(q_chunks[i]);
-    transcript.AppendPoint("quotient", q_comms[i].point);
-    ProofAppendPoint(&proof, q_comms[i].point);
   }
+  shape.Write(ProofShape::kQuotient, q_comms, &transcript, &proof);
   ZKML_RETURN_IF_ERROR(stages.Begin("evals"));
 
   const Fr x = transcript.ChallengeFr("x");
 
-  // --- Round 5: evaluations. ---
-  // Canonical evaluation plan: every entry is (coeffs, rotation).
-  struct OpenEntry {
-    const std::vector<Fr>* coeffs;
-    int32_t rotation;
-  };
-  std::vector<OpenEntry> entries;
-  const std::vector<ColumnQuery> queries = cs.AllQueries();
-  for (const ColumnQuery& q : queries) {
-    if (q.column.type == ColumnType::kInstance) {
-      continue;  // verifier evaluates instance columns itself
-    }
-    const std::vector<Fr>* coeffs = q.column.type == ColumnType::kAdvice
-                                        ? &advice_coeffs[q.column.index]
-                                        : &pk.fixed_coeffs[q.column.index];
-    entries.push_back(OpenEntry{coeffs, q.rotation});
-  }
-  for (size_t i = 0; i < perm_cols.size(); ++i) {
-    entries.push_back(OpenEntry{&pk.sigma_coeffs[i], 0});
-  }
-  for (size_t l = 0; l < num_lookups; ++l) {
-    entries.push_back(OpenEntry{&m_coeffs[l], 0});
-    entries.push_back(OpenEntry{&h_coeffs[l], 0});
-    entries.push_back(OpenEntry{&s_coeffs[l], 0});
-    entries.push_back(OpenEntry{&s_coeffs[l], 1});
-  }
-  for (size_t c = 0; c < num_chunks; ++c) {
-    entries.push_back(OpenEntry{&z_coeffs[c], 0});
-    entries.push_back(OpenEntry{&z_coeffs[c], 1});
-  }
-  for (size_t i = 0; i < ext_factor; ++i) {
-    entries.push_back(OpenEntry{&q_chunks[i], 0});
-  }
-
-  auto rot_point = [&](int32_t rot) {
-    int64_t r = rot % static_cast<int64_t>(n);
-    if (r < 0) {
-      r += static_cast<int64_t>(n);
-    }
-    return x * dom.element(static_cast<size_t>(r));
-  };
-
-  std::vector<Fr> evals(entries.size());
+  // --- Round 5: evaluations, in the shape's canonical order. ---
+  const ProofShape::PerSource<std::vector<Fr>> polys = {
+      &advice_coeffs, &m_coeffs, &hs_coeffs, &z_coeffs, &q_chunks, &pk.fixed_coeffs,
+      &pk.sigma_coeffs};
+  const std::vector<ProofShape::Opening>& openings = shape.openings();
+  std::vector<Fr> evals(openings.size());
   {
     TaskGroup group;
-    for (size_t e = 0; e < entries.size(); ++e) {
-      group.Submit(
-          [&, e] { evals[e] = EvalPoly(*entries[e].coeffs, rot_point(entries[e].rotation)); });
+    for (size_t e = 0; e < openings.size(); ++e) {
+      group.Submit([&, e] {
+        evals[e] =
+            EvaluateCoeffs(openings[e].Of(polys), shape.RotationPoint(x, openings[e].rotation));
+      });
     }
   }
-  for (size_t e = 0; e < entries.size(); ++e) {
-    transcript.AppendFr("eval", evals[e]);
-    ProofAppendFr(&proof, evals[e]);
+  for (const Fr& eval : evals) {
+    transcript.AppendFr("eval", eval);
+    ProofAppendFr(&proof, eval);
   }
   ZKML_RETURN_IF_ERROR(stages.Begin("openings"));
 
-  // --- Round 6: openings grouped by rotation (ascending). ---
-  std::set<int32_t> rotations;
-  for (const OpenEntry& e : entries) {
-    rotations.insert(e.rotation);
-  }
-  for (int32_t rot : rotations) {
-    std::vector<const std::vector<Fr>*> polys;
-    for (const OpenEntry& e : entries) {
-      if (e.rotation == rot) {
-        polys.push_back(e.coeffs);
-      }
+  // --- Round 6: one batch opening per rotation group (ascending). ---
+  for (const auto& [rotation, members] : shape.rotation_groups()) {
+    std::vector<const std::vector<Fr>*> group;
+    for (size_t e : members) {
+      group.push_back(&openings[e].Of(polys));
     }
-    pcs.OpenBatch(polys, rot_point(rot), &transcript, &proof);
+    pcs.OpenBatch(group, shape.RotationPoint(x, rotation), &transcript, &proof);
   }
   stages.Close();
 

@@ -27,14 +27,6 @@ std::string FrToHex(const Fr& v) {
   return out;
 }
 
-size_t WrapRow(int64_t row, size_t n) {
-  int64_t r = row % static_cast<int64_t>(n);
-  if (r < 0) {
-    r += static_cast<int64_t>(n);
-  }
-  return static_cast<size_t>(r);
-}
-
 }  // namespace
 
 // --- Coverage. ---
@@ -44,7 +36,7 @@ CoverageReport AnalyzeCoverage(const ConstraintSystem& cs, const Assignment& ass
   const size_t n = assignment.num_rows();
 
   auto resolve_at = [&](const ColumnQuery& q, size_t row) -> Fr {
-    return assignment.Get(q.column, WrapRow(static_cast<int64_t>(row) + q.rotation, n));
+    return assignment.Get(q.column, RotateRow(row, q.rotation, n));
   };
 
   for (const Gate& gate : cs.gates()) {
@@ -220,7 +212,7 @@ bool MutantDetected(const ConstraintSystem& cs, const Assignment& assignment,
   const size_t n = assignment.num_rows();
 
   auto resolve_at = [&](const ColumnQuery& q, size_t base) -> Fr {
-    const size_t r = WrapRow(static_cast<int64_t>(base) + q.rotation, n);
+    const size_t r = RotateRow(base, q.rotation, n);
     if (q.column.type == ColumnType::kAdvice && q.column.index == col && r == row) {
       return value;
     }
@@ -228,7 +220,7 @@ bool MutantDetected(const ConstraintSystem& cs, const Assignment& assignment,
   };
 
   for (const auto& [g, rot] : index.gates_by_column[col]) {
-    const size_t base = WrapRow(static_cast<int64_t>(row) - rot, n);
+    const size_t base = RotateRow(row, -rot, n);
     const Fr v =
         cs.gates()[g].poly.Evaluate([&](const ColumnQuery& q) { return resolve_at(q, base); });
     if (!v.IsZero()) {
@@ -238,7 +230,7 @@ bool MutantDetected(const ConstraintSystem& cs, const Assignment& assignment,
 
   for (const auto& [l, rot] : index.lookups_by_column[col]) {
     const LookupArgument& lk = cs.lookups()[l];
-    const size_t base = WrapRow(static_cast<int64_t>(row) - rot, n);
+    const size_t base = RotateRow(row, -rot, n);
     std::vector<Fr> input(lk.inputs.size());
     for (size_t j = 0; j < lk.inputs.size(); ++j) {
       input[j] = lk.inputs[j].Evaluate([&](const ColumnQuery& q) { return resolve_at(q, base); });

@@ -1,48 +1,25 @@
 #include "src/plonk/verifier.h"
 
-#include <map>
+#include <array>
+#include <iterator>
 #include <optional>
-#include <set>
 
 #include "src/obs/trace.h"
 #include "src/plonk/proof_io.h"
+#include "src/plonk/proof_shape.h"
 #include "src/poly/domain.h"
 #include "src/transcript/transcript.h"
 
 namespace zkml {
 
 const char* VerifyStageName(VerifyStage stage) {
-  switch (stage) {
-    case VerifyStage::kAccepted:
-      return "accepted";
-    case VerifyStage::kInstance:
-      return "instance";
-    case VerifyStage::kAdviceCommitments:
-      return "advice-commitments";
-    case VerifyStage::kLookupCommitments:
-      return "lookup-commitments";
-    case VerifyStage::kPermutationCommitments:
-      return "permutation-commitments";
-    case VerifyStage::kQuotientCommitments:
-      return "quotient-commitments";
-    case VerifyStage::kEvaluations:
-      return "evaluations";
-    case VerifyStage::kVanishingCheck:
-      return "vanishing-check";
-    case VerifyStage::kPcsOpening:
-      return "pcs-opening";
-    case VerifyStage::kTrailingBytes:
-      return "trailing-bytes";
-    case VerifyStage::kShardStitch:
-      return "shard-stitch";
-    case VerifyStage::kShardAggregate:
-      return "shard-aggregate";
-    case VerifyStage::kBatchStitch:
-      return "batch-stitch";
-    case VerifyStage::kBatchAggregate:
-      return "batch-aggregate";
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {
+      "accepted", "instance", "proof-length", "advice-commitments", "lookup-commitments",
+      "permutation-commitments", "quotient-commitments", "evaluations", "vanishing-check",
+      "pcs-opening", "shard-stitch", "shard-aggregate", "batch-stitch", "batch-aggregate"};
+  static_assert(std::size(kNames) == static_cast<size_t>(VerifyStage::kBatchAggregate) + 1,
+                "one name per VerifyStage, in declaration order");
+  return kNames[static_cast<size_t>(stage)];
 }
 
 std::string VerifyResult::ToString() const {
@@ -69,10 +46,16 @@ VerifyResult VerifyProof(const VerifyingKey& vk, const Pcs& pcs,
                              " instance columns, got " +
                              std::to_string(instance_columns.size())));
   }
+  const ProofShape shape(vk);
+  if (const size_t want = shape.Bytes(pcs); proof.size() != want) {
+    return VerifyResult::Rejected(
+        VerifyStage::kProofLength,
+        MalformedProofError("proof is " + std::to_string(proof.size()) +
+                            " bytes; the verifying key's proof shape is " + std::to_string(want) +
+                            " bytes"));
+  }
   EvaluationDomain dom(vk.k);
   const size_t n = dom.size();
-  const int ext_k = cs.QuotientExtensionK();
-  const size_t ext_factor = static_cast<size_t>(1) << ext_k;
   const size_t num_lookups = cs.lookups().size();
   const size_t num_chunks = cs.NumPermutationChunks();
   const int chunk_size = cs.PermutationChunkSize();
@@ -95,158 +78,45 @@ VerifyResult VerifyProof(const VerifyingKey& vk, const Pcs& pcs,
     }
   }
 
-  // --- Commitments, mirroring the prover's rounds. ---
-  std::vector<PcsCommitment> advice_comms(cs.num_advice_columns());
-  for (size_t i = 0; i < advice_comms.size(); ++i) {
-    const std::string what = "advice commitment " + std::to_string(i);
-    if (Status s = ProofReadPoint(proof, &offset, &advice_comms[i].point, what.c_str());
-        !s.ok()) {
-      return VerifyResult::Rejected(VerifyStage::kAdviceCommitments, std::move(s));
-    }
-    transcript.AppendPoint("advice", advice_comms[i].point);
-  }
+  // --- Commitments, section by section, with the prover's challenges. ---
+  std::array<std::vector<PcsCommitment>, ProofShape::kNumSections> comms;
+  auto read = [&](ProofShape::Source s) {
+    return shape.Read(s, proof, &offset, &transcript, &comms[s]);
+  };
+  if (VerifyResult r = read(ProofShape::kAdvice); !r) return r;
   const Fr theta = transcript.ChallengeFr("theta");
-
-  std::vector<PcsCommitment> m_comms(num_lookups);
-  for (size_t l = 0; l < num_lookups; ++l) {
-    const std::string what = "lookup " + std::to_string(l) + " m commitment";
-    if (Status s = ProofReadPoint(proof, &offset, &m_comms[l].point, what.c_str()); !s.ok()) {
-      return VerifyResult::Rejected(VerifyStage::kLookupCommitments, std::move(s));
-    }
-    transcript.AppendPoint("lookup-m", m_comms[l].point);
-  }
+  if (VerifyResult r = read(ProofShape::kLookupM); !r) return r;
   const Fr beta = transcript.ChallengeFr("beta");
   const Fr gamma = transcript.ChallengeFr("gamma");
-
-  std::vector<PcsCommitment> h_comms(num_lookups), s_comms(num_lookups);
-  for (size_t l = 0; l < num_lookups; ++l) {
-    const std::string what_h = "lookup " + std::to_string(l) + " h commitment";
-    const std::string what_s = "lookup " + std::to_string(l) + " s commitment";
-    if (Status s = ProofReadPoint(proof, &offset, &h_comms[l].point, what_h.c_str()); !s.ok()) {
-      return VerifyResult::Rejected(VerifyStage::kLookupCommitments, std::move(s));
-    }
-    if (Status s = ProofReadPoint(proof, &offset, &s_comms[l].point, what_s.c_str()); !s.ok()) {
-      return VerifyResult::Rejected(VerifyStage::kLookupCommitments, std::move(s));
-    }
-    transcript.AppendPoint("lookup-h", h_comms[l].point);
-    transcript.AppendPoint("lookup-s", s_comms[l].point);
-  }
-  std::vector<PcsCommitment> z_comms(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const std::string what = "permutation z commitment " + std::to_string(c);
-    if (Status s = ProofReadPoint(proof, &offset, &z_comms[c].point, what.c_str()); !s.ok()) {
-      return VerifyResult::Rejected(VerifyStage::kPermutationCommitments, std::move(s));
-    }
-    transcript.AppendPoint("perm-z", z_comms[c].point);
-  }
+  if (VerifyResult r = read(ProofShape::kLookupHS); !r) return r;
+  if (VerifyResult r = read(ProofShape::kPermZ); !r) return r;
   const Fr y = transcript.ChallengeFr("y");
-
-  std::vector<PcsCommitment> q_comms(ext_factor);
-  for (size_t i = 0; i < ext_factor; ++i) {
-    const std::string what = "quotient chunk commitment " + std::to_string(i);
-    if (Status s = ProofReadPoint(proof, &offset, &q_comms[i].point, what.c_str()); !s.ok()) {
-      return VerifyResult::Rejected(VerifyStage::kQuotientCommitments, std::move(s));
-    }
-    transcript.AppendPoint("quotient", q_comms[i].point);
-  }
+  if (VerifyResult r = read(ProofShape::kQuotient); !r) return r;
   const Fr x = transcript.ChallengeFr("x");
 
-  // --- Evaluations, in the prover's canonical order. ---
-  struct OpenEntry {
-    const PcsCommitment* commitment;  // null for instance (not committed)
-    int32_t rotation;
-    Fr eval;
-  };
-  std::vector<OpenEntry> entries;
-  const std::vector<ColumnQuery> queries = cs.AllQueries();
-  std::map<ColumnQuery, Fr> query_eval;  // for constraint reconstruction
-
-  auto rot_point = [&](int32_t rot) {
-    int64_t r = rot % static_cast<int64_t>(n);
-    if (r < 0) {
-      r += static_cast<int64_t>(n);
-    }
-    return x * dom.element(static_cast<size_t>(r));
-  };
-
-  for (const ColumnQuery& q : queries) {
-    if (q.column.type == ColumnType::kInstance) {
-      continue;
-    }
-    const PcsCommitment* c = q.column.type == ColumnType::kAdvice
-                                 ? &advice_comms[q.column.index]
-                                 : &vk.fixed_commitments[q.column.index];
-    entries.push_back(OpenEntry{c, q.rotation, Fr::Zero()});
-  }
-  std::vector<Fr> sigma_evals(perm_cols.size());
-  std::vector<Fr> m_evals(num_lookups), h_evals(num_lookups), s_evals(num_lookups),
-      s_next_evals(num_lookups);
-  std::vector<Fr> z_evals(num_chunks), z_next_evals(num_chunks);
-  std::vector<Fr> q_evals(ext_factor);
-
-  for (size_t i = 0; i < perm_cols.size(); ++i) {
-    entries.push_back(OpenEntry{&vk.sigma_commitments[i], 0, Fr::Zero()});
-  }
-  for (size_t l = 0; l < num_lookups; ++l) {
-    entries.push_back(OpenEntry{&m_comms[l], 0, Fr::Zero()});
-    entries.push_back(OpenEntry{&h_comms[l], 0, Fr::Zero()});
-    entries.push_back(OpenEntry{&s_comms[l], 0, Fr::Zero()});
-    entries.push_back(OpenEntry{&s_comms[l], 1, Fr::Zero()});
-  }
-  for (size_t c = 0; c < num_chunks; ++c) {
-    entries.push_back(OpenEntry{&z_comms[c], 0, Fr::Zero()});
-    entries.push_back(OpenEntry{&z_comms[c], 1, Fr::Zero()});
-  }
-  for (size_t i = 0; i < ext_factor; ++i) {
-    entries.push_back(OpenEntry{&q_comms[i], 0, Fr::Zero()});
-  }
-
-  for (size_t i = 0; i < entries.size(); ++i) {
+  // --- Evaluations, in the shape's canonical order. ---
+  const std::vector<ProofShape::Opening>& openings = shape.openings();
+  std::vector<Fr> evals(openings.size());
+  for (size_t i = 0; i < evals.size(); ++i) {
     const std::string what = "evaluation " + std::to_string(i) + " of " +
-                             std::to_string(entries.size()) + " (rotation " +
-                             std::to_string(entries[i].rotation) + ")";
-    if (Status s = ProofReadFr(proof, &offset, &entries[i].eval, what.c_str()); !s.ok()) {
+                             std::to_string(evals.size()) + " (rotation " +
+                             std::to_string(openings[i].rotation) + ")";
+    if (Status s = ProofReadFr(proof, &offset, &evals[i], what.c_str()); !s.ok()) {
       return VerifyResult::Rejected(VerifyStage::kEvaluations, std::move(s));
     }
-    transcript.AppendFr("eval", entries[i].eval);
+    transcript.AppendFr("eval", evals[i]);
   }
-
-  // Distribute the evals back to named slots (same order as pushed).
-  {
-    size_t e = 0;
-    for (const ColumnQuery& q : queries) {
-      if (q.column.type == ColumnType::kInstance) {
-        // Compute the instance evaluation directly from public values.
-        query_eval[q] =
-            dom.EvaluateLagrangeCombination(instance_columns[q.column.index], rot_point(q.rotation));
-        continue;
-      }
-      query_eval[q] = entries[e++].eval;
+  auto eval_of = [&](ProofShape::Source source, size_t index, int32_t rotation) {
+    return evals[shape.Find(source, index, rotation)];
+  };
+  auto resolve = [&](const ColumnQuery& q) {
+    const size_t i = q.column.index;
+    if (q.column.type == ColumnType::kInstance) {  // not opened: its values are public
+      return dom.EvaluateLagrangeCombination(instance_columns[i],
+                                             shape.RotationPoint(x, q.rotation));
     }
-    for (size_t i = 0; i < perm_cols.size(); ++i) {
-      sigma_evals[i] = entries[e++].eval;
-    }
-    for (size_t l = 0; l < num_lookups; ++l) {
-      m_evals[l] = entries[e++].eval;
-      h_evals[l] = entries[e++].eval;
-      s_evals[l] = entries[e++].eval;
-      s_next_evals[l] = entries[e++].eval;
-    }
-    for (size_t c = 0; c < num_chunks; ++c) {
-      z_evals[c] = entries[e++].eval;
-      z_next_evals[c] = entries[e++].eval;
-    }
-    for (size_t i = 0; i < ext_factor; ++i) {
-      q_evals[i] = entries[e++].eval;
-    }
-  }
-
-  auto resolve = [&](const ColumnQuery& q) -> Fr {
-    auto it = query_eval.find(q);
-    if (it != query_eval.end()) {
-      return it->second;
-    }
-    return Fr::Zero();
+    const bool advice = q.column.type == ColumnType::kAdvice;
+    return eval_of(advice ? ProofShape::kAdvice : ProofShape::kFixed, i, q.rotation);
   };
 
   // --- Reconstruct the constraint identity at x. ---
@@ -275,21 +145,20 @@ VerifyResult VerifyProof(const VerifyingKey& vk, const Pcs& pcs,
       t += resolve(ColumnQuery{lk.table[j], 0}) * theta_j;
       theta_j *= theta;
     }
+    const Fr m = eval_of(ProofShape::kLookupM, l, 0);
+    const Fr h = eval_of(ProofShape::kLookupHS, 2 * l, 0);
+    const Fr s = eval_of(ProofShape::kLookupHS, 2 * l + 1, 0);
+    const Fr s_next = eval_of(ProofShape::kLookupHS, 2 * l + 1, 1);
     const Fr bf = beta + f;
     const Fr bt = beta + t;
-    add_constraint(bf * bt * h_evals[l] - (bt - m_evals[l] * bf));
-    add_constraint(l0_x * s_evals[l]);
-    add_constraint(lactive_x * (s_next_evals[l] - s_evals[l] - h_evals[l]));
-    add_constraint(llast_x * (s_evals[l] + h_evals[l]));
+    add_constraint(bf * bt * h - (bt - m * bf));
+    add_constraint(l0_x * s);
+    add_constraint(lactive_x * (s_next - s - h));
+    add_constraint(llast_x * (s + h));
   }
   if (num_chunks > 0) {
-    const Fr delta = FrDelta();
-    std::vector<Fr> delta_pow(perm_cols.size());
-    delta_pow[0] = Fr::One();
-    for (size_t i = 1; i < perm_cols.size(); ++i) {
-      delta_pow[i] = delta_pow[i - 1] * delta;
-    }
-    add_constraint(l0_x * (z_evals[0] - Fr::One()));
+    const std::vector<Fr>& delta_pow = shape.delta_pow();
+    add_constraint(l0_x * (eval_of(ProofShape::kPermZ, 0, 0) - Fr::One()));
     for (size_t c = 0; c < num_chunks; ++c) {
       const size_t col_begin = c * static_cast<size_t>(chunk_size);
       const size_t col_end = std::min(perm_cols.size(), col_begin + chunk_size);
@@ -298,11 +167,12 @@ VerifyResult VerifyProof(const VerifyingKey& vk, const Pcs& pcs,
       for (size_t i = col_begin; i < col_end; ++i) {
         const Fr f = resolve(ColumnQuery{perm_cols[i], 0});
         num *= f + beta * delta_pow[i] * x + gamma;
-        den *= f + beta * sigma_evals[i] + gamma;
+        den *= f + beta * eval_of(ProofShape::kSigma, i, 0) + gamma;
       }
+      const Fr z = eval_of(ProofShape::kPermZ, c, 0);
       const size_t next = (c + 1) % num_chunks;
-      add_constraint(lactive_x * (z_next_evals[c] * den - z_evals[c] * num));
-      add_constraint(llast_x * (z_next_evals[next] * den - z_evals[c] * num));
+      add_constraint(lactive_x * (eval_of(ProofShape::kPermZ, c, 1) * den - z * num));
+      add_constraint(llast_x * (eval_of(ProofShape::kPermZ, next, 1) * den - z * num));
     }
   }
 
@@ -310,8 +180,8 @@ VerifyResult VerifyProof(const VerifyingKey& vk, const Pcs& pcs,
   Fr q_at_x = Fr::Zero();
   const Fr x_n = x.Pow(U256::FromU64(n));
   Fr shift = Fr::One();
-  for (size_t i = 0; i < ext_factor; ++i) {
-    q_at_x += q_evals[i] * shift;
+  for (size_t i = 0; i < comms[ProofShape::kQuotient].size(); ++i) {
+    q_at_x += eval_of(ProofShape::kQuotient, i, 0) * shift;
     shift *= x_n;
   }
   if (!(numerator == q_at_x * dom.EvaluateVanishing(x))) {
@@ -321,30 +191,30 @@ VerifyResult VerifyProof(const VerifyingKey& vk, const Pcs& pcs,
                           "(some gate, lookup, or permutation constraint is unsatisfied)"));
   }
 
-  // --- PCS opening checks, grouped by rotation as the prover did. ---
+  // --- PCS opening checks, one batch per rotation group. ---
   section.emplace("pcs-openings");
-  std::set<int32_t> rotations;
-  for (const OpenEntry& e : entries) {
-    rotations.insert(e.rotation);
-  }
-  for (int32_t rot : rotations) {
-    std::vector<PcsCommitment> comms;
-    std::vector<Fr> evals;
-    for (const OpenEntry& e : entries) {
-      if (e.rotation == rot) {
-        comms.push_back(*e.commitment);
-        evals.push_back(e.eval);
-      }
+  const ProofShape::PerSource<PcsCommitment> commitments = {
+      &comms[ProofShape::kAdvice], &comms[ProofShape::kLookupM], &comms[ProofShape::kLookupHS],
+      &comms[ProofShape::kPermZ],  &comms[ProofShape::kQuotient], &vk.fixed_commitments,
+      &vk.sigma_commitments};
+  for (const auto& [rotation, members] : shape.rotation_groups()) {
+    std::vector<PcsCommitment> group_comms;
+    std::vector<Fr> group_evals;
+    for (size_t e : members) {
+      group_comms.push_back(openings[e].Of(commitments));
+      group_evals.push_back(evals[e]);
     }
-    if (Status s = pcs.VerifyBatch(comms, evals, rot_point(rot), &transcript, proof, &offset);
+    if (Status s = pcs.VerifyBatch(group_comms, group_evals, shape.RotationPoint(x, rotation),
+                                   &transcript, proof, &offset);
         !s.ok()) {
       return VerifyResult::Rejected(
           VerifyStage::kPcsOpening,
-          Status(s.code(), "opening at rotation " + std::to_string(rot) + ": " + s.message()));
+          Status(s.code(), "opening at rotation " + std::to_string(rotation) + ": " + s.message()));
     }
   }
+  // A lying IPA vector length can leave bytes the openings did not consume.
   if (Status s = ProofExpectEnd(proof, offset); !s.ok()) {
-    return VerifyResult::Rejected(VerifyStage::kTrailingBytes, std::move(s));
+    return VerifyResult::Rejected(VerifyStage::kProofLength, std::move(s));
   }
   return VerifyResult::Accepted();
 }

@@ -25,6 +25,7 @@ namespace zkml {
 enum class VerifyStage {
   kAccepted,
   kInstance,                // instance column count / length validation
+  kProofLength,             // proof length differs from the vk's proof shape
   kAdviceCommitments,       // reading the advice commitment round
   kLookupCommitments,       // reading the lookup m/h/s commitment rounds
   kPermutationCommitments,  // reading the permutation z commitments
@@ -32,7 +33,6 @@ enum class VerifyStage {
   kEvaluations,             // reading the revealed evaluations
   kVanishingCheck,          // the reconstructed quotient identity at x
   kPcsOpening,              // a PCS batch-opening check
-  kTrailingBytes,           // proof not fully consumed
   // Sharded-verification stages (src/zkml/sharded.h): the composite verifier
   // reuses VerifyResult so rejections stay stage-attributed end to end.
   kShardStitch,             // boundary activations disagree with the statement

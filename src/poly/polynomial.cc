@@ -22,13 +22,15 @@ int Poly::Degree() const {
   return -1;
 }
 
-Fr Poly::Evaluate(const Fr& x) const {
+Fr EvaluateCoeffs(const std::vector<Fr>& coeffs, const Fr& x) {
   Fr acc = Fr::Zero();
-  for (size_t i = coeffs_.size(); i-- > 0;) {
-    acc = acc * x + coeffs_[i];
+  for (size_t i = coeffs.size(); i-- > 0;) {
+    acc = acc * x + coeffs[i];
   }
   return acc;
 }
+
+Fr Poly::Evaluate(const Fr& x) const { return EvaluateCoeffs(coeffs_, x); }
 
 Poly Poly::operator+(const Poly& o) const {
   std::vector<Fr> out(std::max(coeffs_.size(), o.coeffs_.size()), Fr::Zero());

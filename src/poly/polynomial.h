@@ -11,6 +11,9 @@
 
 namespace zkml {
 
+// Horner evaluation of the polynomial with coefficients `coeffs` at x.
+Fr EvaluateCoeffs(const std::vector<Fr>& coeffs, const Fr& x);
+
 class Poly {
  public:
   Poly() = default;

@@ -187,7 +187,7 @@ StatusOr<ProofPlan> ShardedPlan(const Model& model, size_t k, const ZkmlOptions&
 }
 
 const char* BackendName(const CompiledModel& compiled) {
-  return dynamic_cast<const KzgPcs*>(compiled.pcs.get()) != nullptr ? "kzg" : "ipa";
+  return compiled.pcs->kind() == PcsKind::kKzg ? "kzg" : "ipa";
 }
 
 // The zkml.batched_proof/v1 report; prove_seconds_per_inference is the

@@ -257,7 +257,7 @@ obs::RunReport BuildRunReport(const CompiledModel& compiled, const ZkmlProof& pr
                               double verify_seconds, const std::string& model_name) {
   obs::RunReport report;
   report.model = model_name.empty() ? compiled.model.name : model_name;
-  report.backend = dynamic_cast<const KzgPcs*>(compiled.pcs.get()) != nullptr ? "kzg" : "ipa";
+  report.backend = compiled.pcs->kind() == PcsKind::kKzg ? "kzg" : "ipa";
   report.k = static_cast<uint32_t>(compiled.layout.k);
   report.num_columns = static_cast<uint32_t>(compiled.layout.num_columns);
   report.rows_used = compiled.layout.rows_used;

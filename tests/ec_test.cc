@@ -437,6 +437,10 @@ TEST(GroupedMsmTest, AllZeroScalarsAndIdentityBases) {
   std::vector<G1Affine> bases = RandomBases(rng, 200);
   ExpectGroupedMatches(bases, std::vector<Fr>(200, Fr::Zero()), "all zero");
   EXPECT_EQ(Msm(bases, std::vector<Fr>(200, Fr::Zero())), G1::Identity());
+  // 8192 points split across pool chunks when the pool has two or more
+  // threads; with no group there is nothing to split.
+  ExpectGroupedMatches(RandomBases(rng, 8192), std::vector<Fr>(8192, Fr::Zero()),
+                       "all zero, chunked");
   for (size_t i = 0; i < bases.size(); i += 3) {
     bases[i] = G1Affine::Identity();
   }

@@ -19,6 +19,7 @@
 #include "src/pcs/ipa.h"
 #include "src/pcs/kzg.h"
 #include "src/plonk/keygen.h"
+#include "src/plonk/proof_shape.h"
 #include "src/plonk/prover.h"
 #include "src/plonk/verifier.h"
 #include "src/tensor/quantizer.h"
@@ -233,41 +234,45 @@ TEST(FaultInjectionTest, CorruptLeadingTagBlamesAdviceCommitments) {
   EXPECT_NE(result.status.message().find("byte"), std::string::npos) << result.ToString();
 }
 
-TEST(FaultInjectionTest, EmptyProofBlamesAdviceCommitments) {
+TEST(FaultInjectionTest, EmptyProofBlamesProofLength) {
   const Target& t = Targets()[0];
   const VerifyResult result = VerifyProof(t.vk, *t.pcs, t.instance, {});
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.stage, VerifyStage::kAdviceCommitments) << result.ToString();
+  EXPECT_EQ(result.stage, VerifyStage::kProofLength) << result.ToString();
   EXPECT_EQ(result.status.code(), StatusCode::kMalformedProof);
 }
 
-TEST(FaultInjectionTest, TrailingGarbageBlamesTrailingBytes) {
+TEST(FaultInjectionTest, TrailingGarbageBlamesProofLength) {
   for (const Target& t : Targets()) {
     std::vector<uint8_t> bad = t.proof;
     bad.push_back(0xab);
     const VerifyResult result = VerifyProof(t.vk, *t.pcs, t.instance, bad);
     ASSERT_FALSE(result.ok()) << t.name;
-    EXPECT_EQ(result.stage, VerifyStage::kTrailingBytes) << t.name << ": " << result.ToString();
+    EXPECT_EQ(result.stage, VerifyStage::kProofLength) << t.name << ": " << result.ToString();
     EXPECT_EQ(result.status.code(), StatusCode::kMalformedProof);
   }
 }
 
 TEST(FaultInjectionTest, NonCanonicalEvaluationBlamesEvaluations) {
-  // mac-kzg proof layout tail: ...evaluations, then one 33-byte KZG witness
-  // point per rotation ({0, 1} here). Overwriting the 32 bytes just before
-  // the witness points lands on the last evaluation scalar.
-  const Target& t = Targets()[0];
-  ASSERT_GE(t.proof.size(), 66u + 32u);
-  std::vector<uint8_t> bad = t.proof;
-  const size_t pos = bad.size() - 66 - 32;
-  for (size_t i = 0; i < 32; ++i) {
-    bad[pos + i] = 0xff;
+  for (const Target& t : Targets()) {
+    // All-ones bytes over the last evaluation scalar exceed the field modulus.
+    const ProofShape shape(t.vk);
+    const size_t pos = shape.EvaluationOffset(shape.openings().size() - 1);
+    ASSERT_EQ(shape.Bytes(*t.pcs), t.proof.size()) << t.name;
+    std::vector<uint8_t> bad = t.proof;
+    for (size_t i = 0; i < 32; ++i) {
+      bad[pos + i] = 0xff;
+    }
+    const VerifyResult result = VerifyProof(t.vk, *t.pcs, t.instance, bad);
+    ASSERT_FALSE(result.ok()) << t.name;
+    EXPECT_EQ(result.stage, VerifyStage::kEvaluations) << t.name << ": " << result.ToString();
+    EXPECT_EQ(result.status.code(), StatusCode::kMalformedProof) << t.name;
+    EXPECT_NE(result.status.message().find("canonical"), std::string::npos)
+        << t.name << ": " << result.ToString();
+    EXPECT_NE(result.status.message().find("byte offset " + std::to_string(pos)),
+              std::string::npos)
+        << t.name << ": " << result.ToString();
   }
-  const VerifyResult result = VerifyProof(t.vk, *t.pcs, t.instance, bad);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.stage, VerifyStage::kEvaluations) << result.ToString();
-  EXPECT_EQ(result.status.code(), StatusCode::kMalformedProof);
-  EXPECT_NE(result.status.message().find("canonical"), std::string::npos) << result.ToString();
 }
 
 TEST(FaultInjectionTest, WrongInstanceBlamesCryptographicCheck) {
@@ -325,6 +330,26 @@ TEST(FaultInjectionTest, CrossCircuitProofRejected) {
   for (size_t i = 0; i + 1 < ts.size(); i += 2) {
     const VerifyResult result = VerifyProof(ts[i].vk, *ts[i].pcs, ts[i].instance, ts[i + 1].proof);
     ASSERT_FALSE(result.ok()) << ts[i].name << " accepted " << ts[i + 1].name << "'s proof";
+  }
+}
+
+TEST(FaultInjectionTest, CrossCircuitProofBlamesProofLength) {
+  // Each mac proof against the cube vk and each cube proof against the mac
+  // vk, under both backends: the length check rejects before any parsing.
+  const std::vector<Target>& ts = Targets();
+  for (size_t i = 0; i < ts.size(); ++i) {
+    const Target& vk_side = ts[i];
+    const Target& proof_side = ts[i ^ 1];  // the other circuit, same backend
+    const VerifyResult result =
+        VerifyProof(vk_side.vk, *vk_side.pcs, vk_side.instance, proof_side.proof);
+    ASSERT_FALSE(result.ok()) << vk_side.name << " accepted " << proof_side.name << "'s proof";
+    EXPECT_EQ(result.stage, VerifyStage::kProofLength)
+        << proof_side.name << " proof, " << vk_side.name << " vk: " << result.ToString();
+    EXPECT_EQ(result.status.code(), StatusCode::kMalformedProof);
+    for (size_t bytes : {proof_side.proof.size(), vk_side.proof.size()}) {
+      EXPECT_NE(result.status.message().find(std::to_string(bytes)), std::string::npos)
+          << result.ToString();
+    }
   }
 }
 
